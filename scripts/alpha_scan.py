@@ -16,7 +16,6 @@ class Config:
     lags: tuple = (1, 2, 3, 4)
     k_min: int = 10
     k_max: int = 20
-    threads: int = 1
 
 
 def parse_args(argv=None) -> Config:
@@ -25,16 +24,15 @@ def parse_args(argv=None) -> Config:
     ap.add_argument("--k-min", type=int, default=Config.k_min)
     ap.add_argument("--k-max", type=int, default=Config.k_max,
                     help="largest exponent: N runs to 2^k_max")
-    ap.add_argument("--threads", type=int, default=Config.threads)
     ns = ap.parse_args(argv)
-    return Config(tuple(ns.lags), ns.k_min, ns.k_max, ns.threads)
+    return Config(tuple(ns.lags), ns.k_min, ns.k_max)
 
 
 def main(cfg: Config) -> None:
     print("t\tlog2_N\talpha")
     for t in cfg.lags:
         for k in range(cfg.k_min, cfg.k_max + 1):
-            a = alpha_estimate(t, 1 << k, threads=cfg.threads)
+            a = alpha_estimate(t, 1 << k)
             print(f"{t}\t{k}\t{a:.9f}")
 
 

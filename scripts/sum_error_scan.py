@@ -15,22 +15,20 @@ from sternseq import t_prefix_sum
 class Config:
     k_min: int = 4
     k_max: int = 18
-    threads: int = 1
 
 
 def parse_args(argv=None) -> Config:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--k-min", type=int, default=Config.k_min)
     ap.add_argument("--k-max", type=int, default=Config.k_max)
-    ap.add_argument("--threads", type=int, default=Config.threads)
     ns = ap.parse_args(argv)
-    return Config(ns.k_min, ns.k_max, ns.threads)
+    return Config(ns.k_min, ns.k_max)
 
 
 def main(cfg: Config) -> None:
     print("log2_N\texact\tfloat\ttrue_err\terr_bound\tbracket_width")
     for k in range(cfg.k_min, cfg.k_max + 1):
-        rep = t_prefix_sum(1 << k, threads=cfg.threads)
+        rep = t_prefix_sum(1 << k)
         err = abs(rep.float_sum - float(rep.exact_sum))
         width = float(rep.upper - rep.lower)
         print(f"{k}\t{float(rep.exact_sum):.6f}\t{rep.float_sum:.6f}\t"

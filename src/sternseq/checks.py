@@ -214,7 +214,7 @@ def suite_smalld():
     ok &= all((tr[2 * m], tr[2 * m + 1]) == delta3_classify(m)
               for m in range(1 << 10))
     ok &= delta3(1 << 10) == tr[1 << 10]
-    ok &= delta3(300, method="descent") == tr[300]
+    ok &= delta3(300) == tr[300]
     out.append(("residue-count difference stays in {0..3}", ok, ""))
     ok = all(hyperbinary(2, n) == 1 for n in range(200))
     ok &= all(hyperbinary(3, n - 1) == stern(n) for n in range(1, 1 << 9))

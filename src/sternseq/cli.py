@@ -87,7 +87,6 @@ def _frac(x: Fraction) -> str:
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    common.add_argument("--threads", type=int, default=1, metavar="K")
     common.add_argument("--max-row-bits", type=int, default=22)
     common.add_argument("--max-matrix-order", type=int,
                         default=DEFAULT_MATRIX_CAP)
@@ -300,8 +299,7 @@ def _h_rowsum(a):
 
 def _h_sum(a):
     mode = "exact" if a.exact else "float"
-    rep = t_prefix_sum(a.N, mode=mode, exact_cap=a.max_exact_n,
-                       threads=a.threads)
+    rep = t_prefix_sum(a.N, mode=mode, exact_cap=a.max_exact_n)
     payload = {"N": str(a.N), "mode": mode, "float_sum": rep.float_sum,
                "error_bound": rep.float_error_bound,
                "lower": _frac(rep.lower), "upper": _frac(rep.upper)}
@@ -315,7 +313,7 @@ def _h_sum(a):
 
 
 def _h_alpha(a):
-    v = alpha_estimate(a.t, a.N, threads=a.threads)
+    v = alpha_estimate(a.t, a.N)
     return ({"t": a.t, "N": str(a.N)},
             {"empirical_alpha": v}, [f"empirical_alpha\t{v!r}"])
 
@@ -382,9 +380,8 @@ def run(argv=None, stdout=None, stderr=None) -> int:
                     "command": args.command, "params": params,
                     "result": payload}
         print(json.dumps(envelope, sort_keys=True), file=out)
-    else:
-        for line in lines:
-            print(line, file=out)
+    elif lines:
+        out.write("\n".join(lines) + "\n")
     if args.command == "verify" and payload["failed"]:
         return 1
     return 0

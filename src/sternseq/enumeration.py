@@ -173,9 +173,10 @@ def brocot_row(r: int, max_entries: int = DEFAULT_ROW_CAP):
 def minkowski_q(x: Fraction) -> DyadicRational:
     """Minkowski question-mark of a rational x in [0, 1].
 
-    Walks the mediant (Farey) tree toward x, emitting one bit per step,
-    and closes with a final 1 bit when the mediant hits x.  Rational
-    inputs always terminate and land on a dyadic rational.
+    Sums ?(x) = 2 * sum_k (-1)^(k+1) 2^-(a_1 + ... + a_k) over the
+    continued-fraction quotients of x = [0; a_1, a_2, ...] in one
+    Euclidean pass, by Horner in powers of two.  The last term is the
+    smallest power, so the numerator comes out odd.
     """
     x = Fraction(x)
     if x < 0 or x > 1:
@@ -184,19 +185,12 @@ def minkowski_q(x: Fraction) -> DyadicRational:
         return DyadicRational(0, 0)
     if x == 1:
         return DyadicRational(1, 0)
-    lo_n, lo_d = 0, 1
-    hi_n, hi_d = 1, 1
-    bits = 0
-    depth = 0
-    while True:
-        mn, md = lo_n + hi_n, lo_d + hi_d
-        depth += 1
-        sign = x.numerator * md - x.denominator * mn
-        if sign == 0:
-            return DyadicRational((bits << 1) | 1, depth)
-        if sign < 0:
-            bits <<= 1
-            hi_n, hi_d = mn, md
-        else:
-            bits = (bits << 1) | 1
-            lo_n, lo_d = mn, md
+    p, q = x.numerator, x.denominator
+    num, exponent, sign = 0, 0, 1
+    while p:
+        a = q // p
+        p, q = q % p, p
+        num = (num << a) + sign
+        exponent += a
+        sign = -sign
+    return DyadicRational(num, exponent - 1)

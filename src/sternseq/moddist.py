@@ -7,14 +7,16 @@ gcd(i, j, d) = 1, and moves by one of two affine steps when n doubles:
     R(i, j) = (i + j, j)     since S_d(2n+1) = R(S_d(n)).
 
 Walks of length r in the resulting 2-out digraph count exactly how
-often each pair occurs in the block [2^r m, 2^r (m+1)), which makes
-occurrence counts over any interval computable from O(log N) matrix
-rows.  The adjacency matrix's minimal polynomial (found by exact
+often each pair occurs in the block [2^r m, 2^r (m+1)).  The same
+doubling step gives the census of every pair over [0, N) in one pass
+down the bits of N, so every count T(N; d, i) is a projection of that
+census.  The adjacency matrix's minimal polynomial (found by exact
 elimination) controls the convergence rate toward the limiting
 densities.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +24,7 @@ from functools import lru_cache
 from mpmath import mp
 from mpmath.libmp import NoConvergence
 
-from .core import ResourceLimitError, block_decompose, stern_table
+from .core import ResourceLimitError, stern_table
 from .exactalg import (identity, mat_mul, mat_pow, poly_divmod, poly_eval,
                        squarefree_factors)
 
@@ -171,6 +173,17 @@ def walk_counts(d: int, r: int,
     return mat_pow(adjacency(d, max_order=max_order), r)
 
 
+def _step(g: PairGraph, vec: list[int]) -> list[int]:
+    # one doubling: each count moves along both edges of its vertex
+    left, right = g.left, g.right
+    nxt = [0] * len(vec)
+    for pos, c in enumerate(vec):
+        if c:
+            nxt[left[pos]] += c
+            nxt[right[pos]] += c
+    return nxt
+
+
 def _walk_row(d: int, alpha: ResiduePair, r: int) -> list[int]:
     # row of the r-th matrix power indexed by alpha, by propagating a
     # unit row vector through the graph (O(r * N_d), no matrix product)
@@ -178,17 +191,47 @@ def _walk_row(d: int, alpha: ResiduePair, r: int) -> list[int]:
     vec = [0] * len(g.vertices)
     vec[g.index[alpha]] = 1
     for _ in range(r):
-        nxt = [0] * len(vec)
-        for pos, c in enumerate(vec):
-            if c:
-                nxt[g.left[pos]] += c
-                nxt[g.right[pos]] += c
-        vec = nxt
+        vec = _step(g, vec)
     return vec
 
 
-def count_block(d: int, gamma: ResiduePair, U1: int, U2: int,
-                threads: int = 1) -> int:
+def _pair_census(N: int, d: int) -> list[int]:
+    """Occurrences of each feasible pair (by vertex) among S_d(n), n < N.
+
+    With C(m) the census of [0, m), C(2m) = A C(m) and C(2m+1) =
+    A C(m) + e_{S_d(2m)}, where A moves each count along both edges of
+    its vertex.  One pass down the bits of N, carrying the pair of the
+    current prefix, costs O(log N * N_d).
+    """
+    g = graph(d)
+    counts = [0] * len(g.vertices)
+    pos = g.index[(0, 1)]  # S_d(0)
+    for bit in bin(N)[2:]:
+        counts = _step(g, counts)
+        if bit == "1":
+            counts[g.left[pos]] += 1
+            pos = g.right[pos]
+        else:
+            pos = g.left[pos]
+    return counts
+
+
+def _vertex_counts(N: int, d: int, method: str, scan_cap: int) -> list[int]:
+    # "auto" and "blocks" take the census; "scan" is its O(N) oracle
+    # twin, a histogram of consecutive pairs from the table of s mod d
+    if method in ("auto", "blocks"):
+        return _pair_census(N, d)
+    if method != "scan":
+        raise ValueError(f"unknown method {method!r}")
+    if N > scan_cap:
+        raise ResourceLimitError(
+            f"direct scan of {N} values exceeds cap {scan_cap}")
+    table = stern_table(N, mod=d)
+    hist = Counter(zip(table, table[1:]))
+    return [hist[v] for v in graph(d).vertices]
+
+
+def count_block(d: int, gamma: ResiduePair, U1: int, U2: int) -> int:
     """Occurrences of the pair gamma among S_d(n), U1 <= n < U2.
 
     Oracle-grade direct scan; each index is evaluated independently by
@@ -197,63 +240,25 @@ def count_block(d: int, gamma: ResiduePair, U1: int, U2: int,
     _check_modulus(d)
     if U1 < 0 or U1 >= U2:
         raise ValueError("need 0 <= U1 < U2")
-    chunks = _ranges(U1, U2, threads)
-
-    def one(bounds):
-        lo, hi = bounds
-        return sum(1 for m in range(lo, hi) if s_mod_pair(m, d) == gamma)
-
-    return sum(_map_chunks(one, chunks, threads))
-
-
-def _ranges(lo, hi, threads, chunk=1 << 16):
-    if threads <= 1:
-        return [(lo, hi)]
-    return [(a, min(a + chunk, hi)) for a in range(lo, hi, chunk)]
-
-
-def _map_chunks(fn, chunks, threads):
-    if threads <= 1 or len(chunks) == 1:
-        return [fn(c) for c in chunks]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, chunks))
+    return sum(1 for m in range(U1, U2) if s_mod_pair(m, d) == gamma)
 
 
 def count_T(N: int, d: int, i: int, method: str = "auto",
-            scan_cap: int = DEFAULT_SCAN_CAP, threads: int = 1) -> int:
+            scan_cap: int = DEFAULT_SCAN_CAP) -> int:
     """T(N; d, i) = #{ n < N : s(n) == i (mod d) }.
 
-    method "scan" builds the table of s mod d directly (O(N)); method
-    "blocks" decomposes [0, N) into dyadic blocks and sums walk-count
-    rows (O(log^2 N) vector steps).  The two must agree bit for bit.
+    Methods "auto" and "blocks" sum the pair census over the pairs with
+    first coordinate i (O(log N) vector steps); method "scan" counts
+    pairs in the table of s mod d directly (O(N)).  The two must agree
+    bit for bit.
     """
     _check_modulus(d)
     if N < 0:
         raise ValueError("N must be nonnegative")
     if N == 0:
         return 0
-    i %= d
-    if method == "auto":
-        method = "scan" if N <= (1 << 16) else "blocks"
-    if method == "scan":
-        if N > scan_cap:
-            raise ResourceLimitError(
-                f"direct scan of {N} values exceeds cap {scan_cap}")
-        table = stern_table(N - 1, mod=d)
-        if threads > 1:
-            chunks = _ranges(0, N, threads)
-            return sum(_map_chunks(
-                lambda b: table[b[0]:b[1]].count(i), chunks, threads))
-        return table.count(i)
-    if method != "blocks":
-        raise ValueError(f"unknown method {method!r}")
-    g = graph(d)
-    total = 0
-    for r, m in block_decompose(N):
-        row = _walk_row(d, s_mod_pair(m, d), r)
-        total += sum(row[pos] for pos in g.by_first[i])
-    return total
+    per_vertex = _vertex_counts(N, d, method, scan_cap)
+    return sum(per_vertex[pos] for pos in graph(d).by_first[i % d])
 
 
 def density(d: int, i: int) -> Fraction:
@@ -303,37 +308,16 @@ class DistTable:
 def dist_table(N: int, d: int, method: str = "auto",
                include_pairs: bool = False,
                scan_cap: int = DEFAULT_SCAN_CAP) -> DistTable:
-    """Residue distribution of s(n) mod d over n < N, one pass."""
+    """Residue distribution of s(n) mod d over n < N, projected from
+    one pair census (see count_T for the methods)."""
     _check_modulus(d)
     if N < 1:
         raise ValueError("N must be positive")
-    if method == "auto":
-        method = "scan" if N <= (1 << 16) else "blocks"
+    per_vertex = _vertex_counts(N, d, method, scan_cap)
     g = graph(d)
-    if method == "scan":
-        if N > scan_cap:
-            raise ResourceLimitError(
-                f"direct scan of {N} values exceeds cap {scan_cap}")
-        table = stern_table(N, mod=d)
-        counts = tuple(table[:N].count(i) for i in range(d))
-        pairs = None
-        if include_pairs:
-            pairs = {v: 0 for v in g.vertices}
-            for n in range(N):
-                pairs[(table[n], table[n + 1])] += 1
-    elif method == "blocks":
-        per_vertex = [0] * len(g.vertices)
-        for r, m in block_decompose(N):
-            row = _walk_row(d, s_mod_pair(m, d), r)
-            for pos, c in enumerate(row):
-                per_vertex[pos] += c
-        counts = tuple(sum(per_vertex[pos] for pos in g.by_first[i])
-                       for i in range(d))
-        pairs = None
-        if include_pairs:
-            pairs = {v: per_vertex[pos] for pos, v in enumerate(g.vertices)}
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    counts = tuple(sum(per_vertex[pos] for pos in group)
+                   for group in g.by_first)
+    pairs = dict(zip(g.vertices, per_vertex)) if include_pairs else None
     dens = tuple(density(d, i) for i in range(d))
     return DistTable(d, N, counts, dens, pairs)
 
@@ -366,7 +350,10 @@ def minimal_polynomial(d: int,
                         combo[pos] -= f * ec
         pivot = next((pos for pos, v in enumerate(vec) if v), None)
         if pivot is None:
-            assert all(c.denominator == 1 for c in combo)
+            if any(c.denominator != 1 for c in combo):
+                raise ValueError(
+                    f"minimal polynomial mod {d} has a non-integer "
+                    "coefficient")
             return [int(c) for c in combo]
         echelon.append((pivot, vec, combo))
         power = mat_mul(power, M)
@@ -444,11 +431,13 @@ def spectral(d: int, max_order: int = DEFAULT_MATRIX_CAP,
     if zero_mult:
         roots.append(RootValue(complex(0, 0), zero_mult, 0.0, True))
     desc_f = list(reversed(f))
+    top = 0  # largest numeric root modulus, at refinement precision
     for factor, mult in squarefree_factors(rest):
         ints = [int(c) for c in poly_clear(factor)]
         for z in _refined_roots(ints, digits, max_steps):
             with mp.workdps(2 * digits):
                 res = abs(mp.polyval(desc_f, z))
+                top = max(top, abs(z))
             roots.append(RootValue(complex(float(z.real), float(z.imag)),
                                    mult, float(res), False))
     roots.sort(key=lambda rv: (rv.value.real, rv.value.imag))
@@ -456,7 +445,13 @@ def spectral(d: int, max_order: int = DEFAULT_MATRIX_CAP,
     rho = max((abs(rv.value) for rv in non_two), default=0.0)
     at_rho = [rv for rv in non_two if abs(rv.value) > rho - 1e-9]
     mult = max((rv.multiplicity for rv in at_rho), default=1)
-    tau = max(0.0, math.log2(rho)) if rho > 0 else 0.0
+    tau = 0.0
+    if top > 1:
+        # round log2 to the digits the refinement certifies before the
+        # one rounding to float, so tau = 1/2 at d = 3 comes out exact
+        with mp.workdps(digits):
+            q = mp.mpf(10) ** (digits // 2)
+            tau = float(mp.nint(mp.log(top, 2) * q) / q)
     return SpectralReport(d, tuple(f), rho, mult - 1, mult, tau, tuple(roots))
 
 

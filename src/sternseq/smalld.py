@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import ResourceLimitError, stern_table
-from .moddist import s_mod_pair
+from .moddist import _pair_census, graph, s_mod_pair
 
 DEFAULT_ENUM_CAP = 1 << 24
 DEFAULT_DIGIT_CAP = 1 << 16
@@ -148,9 +148,7 @@ def a3_row_count_closed(r: int) -> int:
     if r < 0:
         raise ValueError("row exponent must be nonnegative")
     z = _C_ROW * MU ** r
-    total = Fraction(1 << r, 4) + 2 * z.re
-    assert total.denominator == 1
-    return int(total)
+    return _integral(Fraction(1 << r, 4) + 2 * z.re, "row count", r)
 
 
 def t3_zero_closed(r: int) -> int:
@@ -159,38 +157,39 @@ def t3_zero_closed(r: int) -> int:
     if r < 0:
         raise ValueError("exponent must be nonnegative")
     z = _C_PREFIX * MU ** r
-    total = Fraction(1 << r, 4) + 2 * z.re + Fraction(1, 2)
-    assert total.denominator == 1
-    return int(total)
+    return _integral(Fraction(1 << r, 4) + 2 * z.re + Fraction(1, 2),
+                     "prefix zero count", r)
+
+
+def _integral(total: Fraction, what: str, r: int) -> int:
+    # a closed form that misses an integer is wrong, not to be truncated
+    if total.denominator != 1:
+        raise ValueError(f"closed-form {what} at r={r} is {total}, "
+                         "not an integer")
+    return total.numerator
 
 
 def delta3(N: int, method: str = "auto",
            table_cap: int = 1 << 22) -> int:
     """Delta(N) = T(N; 3, 1) - T(N; 3, 2); always in {0, 1, 2, 3}.
 
-    method "table" builds s mod 3 up to N in one pass; "descent"
-    evaluates each index independently in O(1) memory.  Both agree.
+    method "auto" projects the pair census mod 3 over [0, N) in
+    O(log N); "table" builds s mod 3 up to N (capped by table_cap) and
+    is its oracle twin.  Both agree.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
-    if method == "auto":
-        method = "table" if N <= table_cap else "descent"
     if method == "table":
         if N > table_cap:
             raise ResourceLimitError(
                 f"table of {N} values exceeds cap {table_cap}")
         t = stern_table(max(N - 1, 0), mod=3)[:N]
         return t.count(1) - t.count(2)
-    if method != "descent":
+    if method != "auto":
         raise ValueError(f"unknown method {method!r}")
-    out = 0
-    for n in range(N):
-        v = s_mod_pair(n, 3)[0]
-        if v == 1:
-            out += 1
-        elif v == 2:
-            out -= 1
-    return out
+    census = _pair_census(N, 3)
+    ones, twos = graph(3).by_first[1:]
+    return sum(census[pos] for pos in ones) - sum(census[pos] for pos in twos)
 
 
 def delta3_trace(N: int, table_cap: int = 1 << 22) -> list[int]:

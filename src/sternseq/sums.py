@@ -17,7 +17,6 @@ from fractions import Fraction
 from .core import ResourceLimitError, stern_table
 
 DEFAULT_EXACT_CAP = 1 << 20
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -59,22 +58,9 @@ def theorem_bounds(N: int) -> tuple[Fraction, Fraction]:
     return low, high
 
 
-def _ratio_fsum(table, count, shift, threads=1):
-    # deterministic for every thread count: fixed chunk boundaries,
-    # exact fsum per chunk, exact fsum of the ordered chunk sums
-    bounds = [(lo, min(lo + _CHUNK, count)) for lo in range(0, count, _CHUNK)]
-
-    def one(b):
-        lo, hi = b
-        return math.fsum(table[n] / table[n + shift] for n in range(lo, hi))
-
-    if threads > 1 and len(bounds) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            sums = list(ex.map(one, bounds))
-    else:
-        sums = [one(b) for b in bounds]
-    return math.fsum(sums)
+def _ratio_fsum(table, count, shift):
+    # exactly rounded, so the result is independent of summation order
+    return math.fsum(table[n] / table[n + shift] for n in range(count))
 
 
 def _pairwise_fraction_sum(terms) -> Fraction:
@@ -91,8 +77,7 @@ def _pairwise_fraction_sum(terms) -> Fraction:
 
 
 def t_prefix_sum(N: int, mode: str = "exact",
-                 exact_cap: int = DEFAULT_EXACT_CAP,
-                 threads: int = 1) -> SumReport:
+                 exact_cap: int = DEFAULT_EXACT_CAP) -> SumReport:
     """Sum of t(n) over n < N, exact and/or compensated float.
 
     mode "exact" computes the exact Fraction (subject to the cap) and
@@ -108,7 +93,7 @@ def t_prefix_sum(N: int, mode: str = "exact",
             f"exact sum of {N} terms exceeds cap {exact_cap}; "
             "use mode='float'")
     table = stern_table(N)
-    float_sum = _ratio_fsum(table, N, 1, threads)
+    float_sum = _ratio_fsum(table, N, 1)
     bound = 2 * sys.float_info.epsilon * float_sum
     exact = None
     if mode == "exact":
@@ -118,7 +103,7 @@ def t_prefix_sum(N: int, mode: str = "exact",
     return SumReport(N, exact, float_sum, bound, low, high)
 
 
-def alpha_estimate(t: int, N: int, threads: int = 1) -> float:
+def alpha_estimate(t: int, N: int) -> float:
     """Empirical mean of s(n)/s(n+t) over n < N.
 
     Proven limit 3/2 for t = 1; other lags are conjectural, so treat
@@ -129,4 +114,4 @@ def alpha_estimate(t: int, N: int, threads: int = 1) -> float:
     if N < t:
         raise ValueError("need N >= t")
     table = stern_table(N - 1 + t)
-    return _ratio_fsum(table, N, t, threads) / N
+    return _ratio_fsum(table, N, t) / N

@@ -115,7 +115,7 @@ def test_criterion_05_exact_structures(capsys):
         assert minimal_polynomial(3) == [0, 4, -4, 1, -2, 1]
         rep = spectral(3)
         assert abs(rep.rho - math.sqrt(2)) < 1e-9
-        assert abs(rep.tau - 0.5) < 1e-9
+        assert rep.tau == 0.5
 
 
 def test_criterion_06_distribution_convergence(capsys):

@@ -80,7 +80,7 @@ def test_json_sum_envelope():
     ("spectral", "--d", "3"),
     ("dist", "--d", "3", "--N", "4096", "--pairs"),
     ("graph", "--d", "3", "--dot"),
-    ("alpha", "--t", "2", "--N", "4096", "--threads", "3"),
+    ("alpha", "--t", "2", "--N", "4096"),
     ("sum", "--N", "4096", "--exact", "--format", "json"),
     ("verify", "--suite", "core"),
 ])

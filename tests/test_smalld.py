@@ -1,9 +1,14 @@
 """The extra structure available at d = 2 and d = 3."""
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import sternseq
 from oracles import count_digit_strings, naive_stern, product_coefficients
 from sternseq import (MU, ResourceLimitError, Sqrt7Complex, a3_enumerate,
                       a3_member, a3_row_count, a3_row_count_closed, count_T,
@@ -88,8 +93,50 @@ def test_delta3_definition_and_methods():
         direct = count_T(N, 3, 1) - count_T(N, 3, 2)
         assert delta3(N) == direct
         assert delta3(N, method="table") == direct
-        assert delta3(N, method="descent") == direct
     assert delta3(4) == 1
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=0, max_value=1 << 14))
+def test_delta3_census_matches_table_and_trace(N):
+    assert delta3(N) == delta3(N, method="table") == delta3_trace(N)[-1]
+
+
+def test_delta3_census_far_past_the_table_cap():
+    N = (1 << 1000) - 1
+    counts = [count_T(N, 3, i) for i in range(3)]
+    assert sum(counts) == N
+    delta = delta3(N)
+    assert delta == counts[1] - counts[2]
+    assert delta in (0, 1, 2, 3)
+    # N = 2m + 1, so the pair S_3(m) decides Delta(N - 1) and Delta(N)
+    assert (delta3(N - 1), delta) == delta3_classify(N // 2)
+    assert count_T(1 << 1000, 3, 0) == t3_zero_closed(1000)
+
+
+def test_closed_form_checks_survive_optimize():
+    """Under python -O a wrong closed-form constant still raises
+    instead of truncating a non-integer."""
+    src = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from sternseq import smalld\n"
+        "smalld._C_ROW = smalld.Sqrt7Complex(Fraction(-7, 56),"
+        " Fraction(6, 56))\n"
+        "smalld._C_PREFIX = smalld.Sqrt7Complex(Fraction(8, 56),"
+        " Fraction(-1, 56))\n"
+        "for fn in (smalld.a3_row_count_closed, smalld.t3_zero_closed):\n"
+        "    try:\n"
+        "        fn(5)\n"
+        "    except ValueError:\n"
+        "        print('raised')\n"
+        "print(sys.flags.optimize)\n")
+    src_dir = Path(sternseq.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src_dir)}
+    proc = subprocess.run([sys.executable, "-O", "-c", src], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised", "raised", "1"]
 
 
 def test_delta3_trace_prefix():

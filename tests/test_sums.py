@@ -79,12 +79,6 @@ def test_float_mode_only():
     assert rep.float_sum == t_prefix_sum(1 << 10).float_sum
 
 
-def test_threaded_float_sum_is_deterministic():
-    a = t_prefix_sum(1 << 15, mode="float", threads=1)
-    b = t_prefix_sum(1 << 15, mode="float", threads=4)
-    assert a.float_sum == b.float_sum
-
-
 def test_exact_cap():
     with pytest.raises(ResourceLimitError):
         t_prefix_sum(1 << 12, exact_cap=1 << 10)
@@ -101,7 +95,6 @@ def test_mode_validation():
 def test_alpha_estimate_lag_one():
     a = alpha_estimate(1, 1 << 16)
     assert abs(a - 1.5) < 0.001
-    assert alpha_estimate(1, 1 << 16, threads=3) == a
 
 
 def test_alpha_estimate_rejects_bad_input():
