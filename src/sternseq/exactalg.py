@@ -2,9 +2,9 @@
 
 Matrices are lists of row lists with integer (or Fraction) entries.
 Polynomials are coefficient lists in ascending degree order; the zero
-polynomial is the empty list.  Everything runs over exact rationals,
-which is what the minimal-polynomial search and the squarefree split
-require.
+polynomial is the empty list.  Everything runs over exact rationals, as
+the squarefree split requires; the dense matrix functions are the oracle
+for `verify` and the tests.
 """
 
 from fractions import Fraction

@@ -10,12 +10,14 @@ Walks of length r in the resulting 2-out digraph count exactly how
 often each pair occurs in the block [2^r m, 2^r (m+1)).  The same
 doubling step gives the census of every pair over [0, N) in one pass
 down the bits of N, so every count T(N; d, i) is a projection of that
-census.  The adjacency matrix's minimal polynomial (found by exact
-elimination) controls the convergence rate toward the limiting
-densities.
+census.  The adjacency matrix is applied only as that sparse step: walk
+counts propagate rows, and its minimal polynomial, which sets the rate
+of convergence to the densities, is a Krylov sequence mod p certified
+over Z.  The dense `exactalg` kit is the oracle for `verify` and tests.
 """
 
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,11 +27,11 @@ from mpmath import mp
 from mpmath.libmp import NoConvergence
 
 from .core import ResourceLimitError, stern_table
-from .exactalg import (identity, mat_mul, mat_pow, poly_divmod, poly_eval,
-                       squarefree_factors)
+from .exactalg import poly_divmod, squarefree_factors
 
 DEFAULT_MATRIX_CAP = 4096
 DEFAULT_SCAN_CAP = 1 << 22
+_KRYLOV_PRIME = (1 << 521) - 1
 
 ResiduePair = tuple[int, int]
 IntMatrix = list[list[int]]
@@ -145,17 +147,21 @@ def graph(d: int) -> PairGraph:
                      tuple(tuple(g) for g in groups))
 
 
+def _capped_graph(d: int, max_order: int) -> PairGraph:
+    total, _ = pair_counts(d)
+    if total > max_order:
+        raise ResourceLimitError(
+            f"pair graph mod {d} has {total} vertices, cap is {max_order}")
+    return graph(d)
+
+
 def adjacency(d: int, max_order: int = DEFAULT_MATRIX_CAP) -> IntMatrix:
     """0-1 adjacency matrix of the pair digraph, vertices in lex order.
 
     Row alpha has ones at columns L(alpha) and R(alpha); these never
     coincide, so every row sums to 2 (and so does every column).
     """
-    total, _ = pair_counts(d)
-    if total > max_order:
-        raise ResourceLimitError(
-            f"pair graph mod {d} has {total} vertices, cap is {max_order}")
-    g = graph(d)
+    g = _capped_graph(d, max_order)
     n = len(g.vertices)
     M = [[0] * n for _ in range(n)]
     for v in range(n):
@@ -166,11 +172,12 @@ def adjacency(d: int, max_order: int = DEFAULT_MATRIX_CAP) -> IntMatrix:
 
 def walk_counts(d: int, r: int,
                 max_order: int = DEFAULT_MATRIX_CAP) -> IntMatrix:
-    """Number of length-r walks between every vertex pair: the r-th
-    power of the adjacency matrix, computed exactly."""
+    """Number of length-r walks between every vertex pair: the rows of
+    M^r, propagated (the dense `exactalg.mat_pow` is their oracle)."""
     if r < 0:
         raise ValueError("walk length must be nonnegative")
-    return mat_pow(adjacency(d, max_order=max_order), r)
+    g = _capped_graph(d, max_order)
+    return [_poly_row(g, v, [0] * r + [1]) for v in range(len(g.vertices))]
 
 
 def _step(g: PairGraph, vec: list[int]) -> list[int]:
@@ -184,14 +191,13 @@ def _step(g: PairGraph, vec: list[int]) -> list[int]:
     return nxt
 
 
-def _walk_row(d: int, alpha: ResiduePair, r: int) -> list[int]:
-    # row of the r-th matrix power indexed by alpha, by propagating a
-    # unit row vector through the graph (O(r * N_d), no matrix product)
-    g = graph(d)
+def _poly_row(g: PairGraph, v: int, f: IntPolynomial) -> list[int]:
+    # row v of f(M), e_v f(M), by Horner in deg f sparse steps
     vec = [0] * len(g.vertices)
-    vec[g.index[alpha]] = 1
-    for _ in range(r):
+    vec[v] = f[-1]
+    for c in reversed(f[:-1]):
         vec = _step(g, vec)
+        vec[v] += c
     return vec
 
 
@@ -324,40 +330,39 @@ def dist_table(N: int, d: int, method: str = "auto",
 
 def minimal_polynomial(d: int,
                        max_order: int = DEFAULT_MATRIX_CAP) -> IntPolynomial:
-    """Monic minimal polynomial of the adjacency matrix, ascending.
+    """Monic minimal polynomial mu_M of the adjacency matrix, ascending.
 
-    Vectorises I, M, M^2, ... and reduces each new power against an
-    echelon basis by exact rational elimination; the first dependency
-    is the minimal polynomial, monic with integer coefficients.
+    The first dependency among x, xM, xM^2, ... mod 2^521 - 1, x seeded
+    by d (Wiedemann 1986), is a monic f with deg f <= deg mu_M in
+    symmetric residues; e_v f(M) = 0 over Z for every vertex v proves
+    mu_M | f, so f = mu_M.  A failed proof raises ResourceLimitError.
     """
-    M = adjacency(d, max_order=max_order)
-    n = len(M)
-    echelon = []  # (pivot position, reduced vector, combination)
-    power = identity(n)
-    k = 0
+    g = _capped_graph(d, max_order)
+    p = _KRYLOV_PRIME
+    rng = random.Random(d)
+    x = [rng.randrange(p) for _ in g.vertices]
+    echelon = []  # (pivot, reduced vector with 1 at pivot, combination)
     while True:
-        vec = [Fraction(e) for row in power for e in row]
-        combo = [Fraction(0)] * k + [Fraction(1)]
+        vec = x
+        combo = [0] * len(echelon) + [1]
         for pivot, evec, ecombo in echelon:
             c = vec[pivot]
             if c:
-                f = c / evec[pivot]
-                for pos, ev in enumerate(evec):
-                    if ev:
-                        vec[pos] -= f * ev
-                for pos, ec in enumerate(ecombo):
-                    if ec:
-                        combo[pos] -= f * ec
-        pivot = next((pos for pos, v in enumerate(vec) if v), None)
+                vec = [(a - c * b) % p for a, b in zip(vec, evec)]
+                for pos, b in enumerate(ecombo):
+                    combo[pos] = (combo[pos] - c * b) % p
+        pivot = next((pos for pos, a in enumerate(vec) if a), None)
         if pivot is None:
-            if any(c.denominator != 1 for c in combo):
-                raise ValueError(
-                    f"minimal polynomial mod {d} has a non-integer "
-                    "coefficient")
-            return [int(c) for c in combo]
-        echelon.append((pivot, vec, combo))
-        power = mat_mul(power, M)
-        k += 1
+            break
+        inv = pow(vec[pivot], -1, p)
+        echelon.append((pivot, [a * inv % p for a in vec],
+                        [a * inv % p for a in combo]))
+        x = [a % p for a in _step(g, x)]
+    f = [c - p if c > p // 2 else c for c in combo]
+    if any(any(_poly_row(g, v, f)) for v in range(len(g.vertices))):
+        raise ResourceLimitError(
+            f"Krylov minimal polynomial mod {d} failed its certificate")
+    return f
 
 
 @dataclass(frozen=True)
@@ -467,11 +472,7 @@ def poly_clear(f):
 
 def graph_export(d: int, max_order: int = DEFAULT_MATRIX_CAP) -> str:
     """The pair digraph in DOT form, deterministic lex emission order."""
-    total, _ = pair_counts(d)
-    if total > max_order:
-        raise ResourceLimitError(
-            f"pair graph mod {d} has {total} vertices, cap is {max_order}")
-    g = graph(d)
+    g = _capped_graph(d, max_order)
     lines = [f"digraph stern_pairs_mod_{d} {{"]
     for i, j in g.vertices:
         lines.append(f'  "({i},{j})";')

@@ -11,6 +11,7 @@ d - 1) tie back to the sequence through s(n) = b(3; n - 1).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .core import ResourceLimitError, stern_table
 from .moddist import _pair_census, graph, s_mod_pair
@@ -225,9 +226,9 @@ def delta3_classify(m: int) -> tuple[int, int]:
 def hyperbinary(d: int, n: int, max_bits: int = DEFAULT_DIGIT_CAP) -> int:
     """b(d; n): ways to write n = sum eps_i 2^i with digits 0..d-1.
 
-    Memoised descent on the last digit (eps_0 must match n mod 2);
-    iterative so deep inputs cannot overflow the stack.  b(2; n) = 1
-    and b(3; n) = s(n + 1).
+    Values reachable from n at depth k lie in [(n >> k) - d + 1, n >> k]
+    and the children (m - e) / 2 of m are contiguous, so one pass up the
+    bits with prefix sums costs O(bits * d).  b(3; n) = s(n + 1).
     """
     if d < 2:
         raise ValueError("digit bound must be at least 2")
@@ -236,18 +237,16 @@ def hyperbinary(d: int, n: int, max_bits: int = DEFAULT_DIGIT_CAP) -> int:
     if n.bit_length() > max_bits:
         raise ResourceLimitError(
             f"target has {n.bit_length()} bits, cap is {max_bits}")
-    memo = {0: 1}
-    stack = [n]
-    while stack:
-        m = stack[-1]
-        if m in memo:
-            stack.pop()
-            continue
-        need = [(m - e) >> 1 for e in range(m & 1, min(d - 1, m) + 1, 2)]
-        missing = [x for x in need if x not in memo]
-        if missing:
-            stack.extend(missing)
-        else:
-            memo[m] = sum(memo[x] for x in need)
-            stack.pop()
-    return memo[n]
+    lo, vals = 0, [1]  # b over the window at depth bit_length(n): {0}
+    for k in range(n.bit_length() - 1, -1, -1):
+        prefix = list(accumulate(vals, initial=0))
+        top = n >> k
+        lo_k = max(0, top - d + 1)
+        nxt = []
+        for m in range(lo_k, top + 1):
+            e = min(d - 1, m)
+            e -= (e ^ m) & 1  # largest digit of m's parity
+            nxt.append(prefix[(m >> 1) - lo + 1] - prefix[(m - e) // 2 - lo]
+                       if m else 1)
+        lo, vals = lo_k, nxt
+    return vals[-1]

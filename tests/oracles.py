@@ -86,3 +86,31 @@ def farey_fractions(max_den):
             if gcd(p, q) == 1:
                 out.add(Fraction(p, q))
     return sorted(out)
+
+
+def dense_minimal_polynomial(M):
+    """Monic minimal polynomial of the square matrix M, ascending.
+
+    The literal reading "first dependency among I, M, M^2, ...": each
+    power is flattened to a vector and reduced against an echelon basis
+    of the earlier ones by exact rational elimination.
+    """
+    n = len(M)
+    echelon = []  # (pivot position, reduced vector, combination)
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    while True:
+        vec = [Fraction(e) for row in power for e in row]
+        combo = [Fraction(0)] * len(echelon) + [Fraction(1)]
+        for pivot, evec, ecombo in echelon:
+            c = vec[pivot]
+            if c:
+                f = c / evec[pivot]
+                vec = [v - f * ev for v, ev in zip(vec, evec)]
+                for pos, ec in enumerate(ecombo):
+                    combo[pos] -= f * ec
+        pivot = next((pos for pos, v in enumerate(vec) if v), None)
+        if pivot is None:
+            return combo
+        echelon.append((pivot, vec, combo))
+        power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*M)]
+                 for row in power]

@@ -21,7 +21,7 @@ from sternseq import (a3_row_count, a3_row_count_closed, adjacency,
                       stern_table, t3_zero_closed, theorem_bounds,
                       to_odd_cfrac)
 from sternseq.cli import run as cli_run
-from sternseq.moddist import _walk_row
+from sternseq.moddist import _poly_row
 from sternseq.sums import _pairwise_fraction_sum
 
 ADJ3 = [
@@ -104,7 +104,8 @@ def test_criterion_04_walk_count_oracle(capsys):
                 for m in range(64):
                     census = Counter(zip(tab[m * w:(m + 1) * w],
                                          tab[m * w + 1:(m + 1) * w + 1]))
-                    row = _walk_row(d, (tab[m], tab[m + 1]), r)
+                    row = _poly_row(g, g.index[(tab[m], tab[m + 1])],
+                                    [0] * r + [1])
                     assert all(census.get(v, 0) == row[pos]
                                for pos, v in enumerate(g.vertices))
 
@@ -153,7 +154,7 @@ def test_criterion_08_delta_boundedness(capsys):
 
 def _count_zero_residues(r, d):
     g = graph(d)
-    row = _walk_row(d, (0, 1), r)
+    row = _poly_row(g, g.index[(0, 1)], [0] * r + [1])
     return sum(row[pos] for pos in g.by_first[0])
 
 

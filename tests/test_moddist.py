@@ -1,17 +1,23 @@
 """Residue-pair walk graph, counts, densities, exact spectra."""
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sternseq
+from oracles import dense_minimal_polynomial
 from sternseq import (ResourceLimitError, adjacency, count_T, count_block,
                       density, dist_table, feasible_pairs, graph,
                       graph_export, index_I, left_step, minimal_polynomial,
                       pair_counts, right_step, s_mod_pair, spectral, stern,
                       stern_pair, stern_table, walk_counts)
-from sternseq.exactalg import mat_is_zero, mat_mul, poly_eval_matrix
+from sternseq.exactalg import mat_is_zero, mat_mul, mat_pow, poly_eval_matrix
 
 ADJ3 = [
     [1, 0, 0, 1, 0, 0, 0, 0],
@@ -122,6 +128,7 @@ def test_walk_counts_identity_and_composition():
                                      for i in range(n)]
         assert walk_counts(d, 7) == mat_mul(walk_counts(d, 3),
                                             walk_counts(d, 4))
+        assert walk_counts(d, 7) == mat_pow(adjacency(d), 7)
 
 
 def test_walk_counts_against_block_scan():
@@ -232,13 +239,45 @@ def test_minimal_polynomial_golden():
 
 
 def test_minimal_polynomial_annihilates():
+    """f(M) = 0, and f is the first dependency among I, M, M^2, ..."""
     for d in range(2, 9):
         f = minimal_polynomial(d)
         assert f[-1] == 1
         m = adjacency(d)
         assert mat_is_zero(poly_eval_matrix(f, m))
+        assert f == dense_minimal_polynomial(m)
         # 2 is always an eigenvalue: rows sum to 2
         assert sum(c * 2 ** k for k, c in enumerate(f)) == 0
+
+
+def test_minimal_polynomial_past_the_dense_range():
+    for d, degree in ((15, 60), (16, 58)):
+        f = minimal_polynomial(d)
+        assert len(f) - 1 == degree and f[-1] == 1
+        assert sum(c * 2 ** k for k, c in enumerate(f)) == 0
+        assert sum(k * c * 2 ** (k - 1) for k, c in enumerate(f) if k) != 0
+
+
+def test_minimal_polynomial_certificate_survives_optimize():
+    """Under python -O a Krylov prime too small for the coefficients
+    still fails the exact certificate instead of returning a wrong
+    polynomial; coefficients below half the prime still pass."""
+    src = (
+        "import sys\n"
+        "from sternseq import ResourceLimitError, moddist\n"
+        "moddist._KRYLOV_PRIME = 1009\n"
+        "try:\n"
+        "    moddist.minimal_polynomial(8)\n"  # largest |coefficient| 512
+        "except ResourceLimitError:\n"
+        "    print('raised')\n"
+        "print(*moddist.minimal_polynomial(3))\n"
+        "print(sys.flags.optimize)\n")
+    src_dir = Path(sternseq.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src_dir)}
+    proc = subprocess.run([sys.executable, "-O", "-c", src], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["raised", "0 4 -4 1 -2 1", "1"]
 
 
 def test_spectral_d3():

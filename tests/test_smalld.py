@@ -171,6 +171,12 @@ def test_hyperbinary_against_digit_search(d, n):
     assert hyperbinary(d, n) == count_digit_strings(d, n)
 
 
+@given(st.integers(min_value=2, max_value=40),
+       st.integers(min_value=0, max_value=(1 << 64) - 1))
+def test_hyperbinary_window_against_digit_search(d, n):
+    assert hyperbinary(d, n) == count_digit_strings(d, n)
+
+
 def test_hyperbinary_identities():
     for n in range(1 << 10):
         assert hyperbinary(2, n) == 1
