@@ -17,8 +17,8 @@ from .core import (DEFAULT_ROW_CAP, ResourceLimitError, diatomic_row,
                    stern, stern_pair, stern_ratio)
 from .enumeration import (INFINITY, brocot_row, index_of_rational,
                           minkowski_q, rational_of_index)
-from .moddist import (DEFAULT_MATRIX_CAP, NonConvergenceError, dist_table,
-                      graph, graph_export, index_I, minimal_polynomial,
+from .moddist import (DEFAULT_MATRIX_CAP, NonConvergenceError, _capped_graph,
+                      dist_table, graph_export, index_I, minimal_polynomial,
                       spectral, walk_counts)
 from .smalld import (a3_enumerate, a3_row_count, delta3, delta3_trace,
                      hyperbinary, t3_zero_closed)
@@ -142,7 +142,8 @@ def build_parser() -> _Parser:
 # each handler returns (params, payload, tsv lines)
 
 def _h_stern(a):
-    return {"n": str(a.n)}, {"value": str(stern(a.n))}, [str(stern(a.n))]
+    v = str(stern(a.n))
+    return {"n": str(a.n)}, {"value": v}, [v]
 
 
 def _h_pair(a):
@@ -212,7 +213,7 @@ def _h_graph(a):
         dot = graph_export(a.d, max_order=a.max_matrix_order)
         return ({"d": a.d, "dot": True}, {"dot": dot},
                 dot.rstrip("\n").split("\n"))
-    g = graph(a.d)
+    g = _capped_graph(a.d, a.max_matrix_order)
     edges = []
     for pos, (i, j) in enumerate(g.vertices):
         for tag, nxt in (("L", g.left[pos]), ("R", g.right[pos])):

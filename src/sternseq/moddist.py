@@ -27,11 +27,12 @@ from mpmath import mp
 from mpmath.libmp import NoConvergence
 
 from .core import ResourceLimitError, stern_table
-from .exactalg import poly_divmod, squarefree_factors
+from .exactalg import squarefree_factors
 
 DEFAULT_MATRIX_CAP = 4096
 DEFAULT_SCAN_CAP = 1 << 22
 _KRYLOV_PRIME = (1 << 521) - 1
+_ROOT_STEPS = 120
 
 ResiduePair = tuple[int, int]
 IntMatrix = list[list[int]]
@@ -390,84 +391,76 @@ class SpectralReport:
     roots: tuple[RootValue, ...]
 
 
-def _refined_roots(int_coeffs_asc, digits, max_steps):
-    desc = list(reversed(int_coeffs_asc))
-    last_err = None
-    for dps, steps in ((digits, max_steps), (2 * digits + 20, 4 * max_steps)):
-        with mp.workdps(dps):
-            try:
-                roots, err = mp.polyroots(desc, maxsteps=steps, error=True)
-            except NoConvergence:
-                continue
-            last_err = err
-            if err < mp.mpf(10) ** (-digits // 2):
-                return roots
-    raise NonConvergenceError(
-        f"root refinement stalled (last error bound {last_err})")
+def _refined_roots(ints: IntPolynomial, digits: int) -> list:
+    # Durand-Kerner evaluates f near its roots, where terms up to
+    # 2^deg * max|c| cancel (no root of M exceeds 2 in modulus), so the
+    # guard bits cover that many bits beyond `digits`
+    deg = len(ints) - 1
+    guard = deg + max(abs(c) for c in ints).bit_length()
+    with mp.workdps(digits):
+        try:
+            return mp.polyroots(ints[::-1], maxsteps=_ROOT_STEPS,
+                                extraprec=guard)
+        except NoConvergence:
+            raise NonConvergenceError(
+                f"root refinement of a degree-{deg} factor did not converge "
+                f"in {_ROOT_STEPS} steps") from None
 
 
 def spectral(d: int, max_order: int = DEFAULT_MATRIX_CAP,
-             digits: int = 40, max_steps: int = 120) -> SpectralReport:
+             digits: int = 40) -> SpectralReport:
     """Roots of the minimal polynomial with the derived decay data.
 
-    The root 2 is removed by exact division (and must be simple), as
-    are roots at 0; remaining roots come from the squarefree factors,
-    refined to at least `digits`/2 correct digits.  rho is the largest
-    modulus among non-2 roots, sigma + 1 the largest multiplicity at
-    that modulus, and tau = max(0, log2 rho) the decay exponent.
+    The root 2 (which must be simple) and the roots at 0 are split off
+    exactly in integers; the rest are the roots of the squarefree
+    factors, refined by one Durand-Kerner run at `digits` digits with
+    guard bits sized to each factor.  rho is the largest modulus among
+    the roots other than 2, sigma + 1 the largest multiplicity at that
+    modulus (moduli compared to digits/2 digits), and
+    tau = max(0, log2 rho) the decay exponent.
     """
     f = minimal_polynomial(d, max_order=max_order)
-    rest = [Fraction(c) for c in f]
-    two_mult = 0
-    while True:
-        q, r = poly_divmod(rest, [-2, 1])
-        if r:
-            break
-        rest = q
-        two_mult += 1
-    if two_mult != 1:
+    q, acc = [], 0  # synthetic division by z - 2, top coefficient first
+    for c in reversed(f):
+        acc = 2 * acc + c
+        q.append(acc)
+    f_at_2 = q.pop()
+    q.reverse()
+    if f_at_2 or not sum(c * 2 ** k for k, c in enumerate(q)):
         raise NonConvergenceError(
-            f"expected 2 to be a simple root, found multiplicity {two_mult}")
-    zero_mult = 0
-    while rest and rest[0] == 0:
-        rest = rest[1:]
-        zero_mult += 1
+            f"2 is not a simple root of the minimal polynomial mod {d}")
+    zero_mult = next(k for k, c in enumerate(q) if c)
+    rest = q[zero_mult:]
     roots = [RootValue(complex(2, 0), 1, 0.0, True)]
+    moduli = []  # (modulus, multiplicity) of every root but 2
     if zero_mult:
         roots.append(RootValue(complex(0, 0), zero_mult, 0.0, True))
+        moduli.append((mp.zero, zero_mult))
     desc_f = list(reversed(f))
-    top = 0  # largest numeric root modulus, at refinement precision
     for factor, mult in squarefree_factors(rest):
-        ints = [int(c) for c in poly_clear(factor)]
-        for z in _refined_roots(ints, digits, max_steps):
+        # monic factors of a monic integer polynomial are integral (Gauss)
+        if any(c.denominator != 1 for c in factor):
+            raise ValueError(f"squarefree factor mod {d} is not integral")
+        for z in _refined_roots([int(c) for c in factor], digits):
             with mp.workdps(2 * digits):
                 res = abs(mp.polyval(desc_f, z))
-                top = max(top, abs(z))
+                moduli.append((abs(z), mult))
             roots.append(RootValue(complex(float(z.real), float(z.imag)),
                                    mult, float(res), False))
     roots.sort(key=lambda rv: (rv.value.real, rv.value.imag))
-    non_two = [rv for rv in roots if not (rv.exact and rv.value == 2)]
-    rho = max((abs(rv.value) for rv in non_two), default=0.0)
-    at_rho = [rv for rv in non_two if abs(rv.value) > rho - 1e-9]
-    mult = max((rv.multiplicity for rv in at_rho), default=1)
+    top = max((m for m, _ in moduli), default=mp.zero)
     tau = 0.0
-    if top > 1:
-        # round log2 to the digits the refinement certifies before the
-        # one rounding to float, so tau = 1/2 at d = 3 comes out exact
-        with mp.workdps(digits):
-            q = mp.mpf(10) ** (digits // 2)
-            tau = float(mp.nint(mp.log(top, 2) * q) / q)
-    return SpectralReport(d, tuple(f), rho, mult - 1, mult, tau, tuple(roots))
-
-
-def poly_clear(f):
-    """Scale a rational polynomial to integer coefficients (primitive
-    up to the common denominator)."""
-    denoms = [Fraction(c).denominator for c in f]
-    lcm = 1
-    for q in denoms:
-        lcm = lcm * q // math.gcd(lcm, q)
-    return [int(Fraction(c) * lcm) for c in f]
+    with mp.workdps(digits):
+        # compare moduli and round log2 at half the working digits;
+        # rounding log2 there before the one rounding to float makes
+        # tau = 1/2 at d = 3 exact
+        scale = mp.mpf(10) ** (digits // 2)
+        mult = max((k for m, k in moduli if m > top - 1 / scale),
+                   default=1)
+        if top > 1:
+            tau = float(mp.nint(mp.log(top, 2) * scale) / scale)
+    return SpectralReport(d, tuple(f), float(top), mult - 1, mult, tau,
+                          tuple(roots))
 
 
 def graph_export(d: int, max_order: int = DEFAULT_MATRIX_CAP) -> str:

@@ -175,17 +175,13 @@ def delta3(N: int, method: str = "auto",
     """Delta(N) = T(N; 3, 1) - T(N; 3, 2); always in {0, 1, 2, 3}.
 
     method "auto" projects the pair census mod 3 over [0, N) in
-    O(log N); "table" builds s mod 3 up to N (capped by table_cap) and
-    is its oracle twin.  Both agree.
+    O(log N); "table" is the last entry of delta3_trace (capped by
+    table_cap), its oracle twin.  Both agree.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
     if method == "table":
-        if N > table_cap:
-            raise ResourceLimitError(
-                f"table of {N} values exceeds cap {table_cap}")
-        t = stern_table(max(N - 1, 0), mod=3)[:N]
-        return t.count(1) - t.count(2)
+        return delta3_trace(N, table_cap)[-1]
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
     census = _pair_census(N, 3)

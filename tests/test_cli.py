@@ -121,6 +121,18 @@ def test_exit_code_resource_limit():
     assert code == 3 and "resource limit" in err
     code, _, err = invoke("row", "12", "--max-row-bits", "10")
     assert code == 3
+    for dot in ((), ("--dot",)):
+        code, out, err = invoke("graph", "--d", "100",
+                                "--max-matrix-order", "10", *dot)
+        assert code == 3 and out == "" and "resource limit" in err
+
+
+def test_exit_code_non_convergence(monkeypatch):
+    monkeypatch.setattr(sternseq.moddist, "_ROOT_STEPS", 1)
+    with pytest.raises(sternseq.NonConvergenceError, match="degree"):
+        sternseq.spectral(7)
+    code, out, err = invoke("spectral", "--d", "7")
+    assert code == 4 and out == "" and "numerical error" in err
 
 
 def test_verify_failure_exit_code(monkeypatch):

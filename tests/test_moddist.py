@@ -305,6 +305,28 @@ def test_spectral_d5():
     assert rep.tau == 0.5
 
 
+@pytest.mark.parametrize("d,multiplicities", [
+    (6, {1, 2}), (8, {1, 2}), (9, {1, 2}), (12, {1, 2, 3})])
+def test_spectral_repeated_factors(d, multiplicities):
+    """Squarefree factors of multiplicity > 1 keep the root count."""
+    rep = spectral(d)
+    assert sum(rv.multiplicity for rv in rep.roots) == \
+        len(rep.minimal_poly) - 1
+    assert {rv.multiplicity for rv in rep.roots} == multiplicities
+    assert all(rv.residual < 1e-20 for rv in rep.roots)
+    if d == 9:
+        assert rep.rho == 1.439066724563126
+        assert rep.tau == 0.525133486424699
+
+
+def test_spectral_d13_degree_60():
+    """Degree 60 needs guard bits beyond polyroots' default 10."""
+    rep = spectral(13)
+    assert len(rep.minimal_poly) - 1 == 60
+    assert rep.rho == spectral(9).rho
+    assert all(rv.residual < 1e-20 for rv in rep.roots)
+
+
 def test_graph_export_dot():
     dot = graph_export(2)
     assert dot.splitlines()[0] == "digraph stern_pairs_mod_2 {"
