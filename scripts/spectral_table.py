@@ -3,10 +3,13 @@
 
 For each d the row reports the pair count N_d, the degree of the
 minimal polynomial, the dominating non-2 root modulus rho_d, the decay
-exponent tau_d, and the multiplicity bump sigma_d.  Moduli whose pair
-systems coincide (same I(d)) are easy to spot this way.
+exponent tau_d, the multiplicity bump sigma_d, and the wall time of
+`spectral(d)` in seconds.  Rows are flushed as they finish, so a long
+run shows its progress.  Moduli whose pair systems coincide (same
+I(d)) are easy to spot this way.
 """
 import argparse
+import time
 from dataclasses import dataclass
 
 from sternseq import index_I, pair_counts, spectral
@@ -30,12 +33,14 @@ def parse_args(argv=None) -> Config:
 
 
 def main(cfg: Config) -> None:
-    print("d\tN_d\tI_d\tdeg\trho\ttau\tsigma")
+    print("d\tN_d\tI_d\tdeg\trho\ttau\tsigma\twall_s", flush=True)
     for d in range(cfg.d_min, cfg.d_max + 1):
+        start = time.perf_counter()
         rep = spectral(d, digits=cfg.digits)
+        wall = time.perf_counter() - start
         print(f"{d}\t{pair_counts(d)[0]}\t{index_I(d)}\t"
               f"{len(rep.minimal_poly) - 1}\t{rep.rho:.12f}\t"
-              f"{rep.tau:.12f}\t{rep.sigma}")
+              f"{rep.tau:.12f}\t{rep.sigma}\t{wall:.3f}", flush=True)
 
 
 if __name__ == "__main__":

@@ -189,6 +189,7 @@ def _h_minkowski(a):
 
 
 def _h_dist(a):
+    _capped_graph(a.d, a.max_matrix_order)
     t = dist_table(a.N, a.d, method=a.method, include_pairs=a.pairs)
     dev = t.deviations()
     payload = {"d": a.d, "N": str(a.N), "method": a.method,

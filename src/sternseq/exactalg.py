@@ -1,13 +1,16 @@
-"""Small exact linear algebra and polynomial kit.
+"""Small exact linear algebra and polynomial kit, over the integers.
 
-Matrices are lists of row lists with integer (or Fraction) entries.
-Polynomials are coefficient lists in ascending degree order; the zero
-polynomial is the empty list.  Everything runs over exact rationals, as
-the squarefree split requires; the dense matrix functions are the oracle
-for `verify` and the tests.
+Matrices are lists of row lists; polynomials are coefficient lists in
+ascending degree order, the zero polynomial being the empty list.  All
+entries are integers: division is by monic divisors, and gcds are taken
+mod a prime and certified by exact division over Z.  The dense matrix
+functions are the oracle for `verify` and the tests.
 """
 
-from fractions import Fraction
+from .core import ResourceLimitError
+
+# the prime of the Krylov sequence in `moddist` and of the gcds here
+_KRYLOV_PRIME = (1 << 521) - 1
 
 
 def identity(n: int) -> list[list[int]]:
@@ -46,6 +49,11 @@ def poly_trim(f):
     return f
 
 
+def _symmetric_lift(f, p: int):
+    """Residues mod p as the integers of least absolute value."""
+    return [c - p if c > p // 2 else c for c in f]
+
+
 def poly_sub(f, g):
     n = max(len(f), len(g))
     f = list(f) + [0] * (n - len(f))
@@ -57,63 +65,54 @@ def poly_derivative(f):
     return poly_trim([i * c for i, c in enumerate(f)][1:])
 
 
-def poly_monic(f):
-    f = poly_trim([Fraction(c) for c in f])
-    if not f:
-        return f
-    lead = f[-1]
-    return [c / lead for c in f]
-
-
 def poly_divmod(f, g):
-    """Quotient and remainder over the rationals; remainder is trimmed."""
-    g = poly_trim([Fraction(c) for c in g])
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = poly_trim([Fraction(c) for c in f])
+    """Quotient and trimmed remainder of f by a monic g over Z."""
+    if not g or g[-1] != 1:
+        raise ValueError("polynomial division needs a monic divisor")
+    r = poly_trim(f)
     dg = len(g) - 1
-    if len(r) <= dg:
-        return [], r
-    q = [Fraction(0)] * (len(r) - dg)
-    lead = g[-1]
+    q = [0] * (len(r) - dg)
     for i in range(len(r) - dg - 1, -1, -1):
-        c = r[i + dg] / lead
-        if c:
-            q[i] = c
-            for j, gc in enumerate(g):
-                r[i + j] -= c * gc
-    return q, poly_trim(r)
+        q[i] = c = r[i + dg]
+        for j in range(dg):
+            r[i + j] -= c * g[j]
+    return q, poly_trim(r[:dg])
 
 
 def poly_gcd(f, g):
-    """Monic gcd by the Euclidean algorithm."""
-    a = poly_trim([Fraction(c) for c in f])
-    b = poly_trim([Fraction(c) for c in g])
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    return poly_monic(a)
+    """Monic gcd of integer polynomials f and g, f monic.
+
+    Euclid runs mod p = 2^521 - 1; its monic result h, lifted to
+    symmetric residues, has deg h >= deg gcd, as the gcd over Q is
+    integral (Gauss) and divides f and g mod p.  So h dividing f and g
+    over Z proves h = gcd; a failed proof raises ResourceLimitError.
+    """
+    p = _KRYLOV_PRIME
+    a, b = f, poly_trim([c % p for c in g])
+    while b:  # each step divides by b made monic mod p
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        a, b = b, poly_trim([c % p for c in poly_divmod(a, b)[1]])
+    h = _symmetric_lift([c % p for c in a], p)
+    if poly_divmod(f, h)[1] or poly_divmod(g, h)[1]:
+        raise ResourceLimitError(
+            f"modular gcd of degree {len(h) - 1} failed its certificate")
+    return h
 
 
 def squarefree_factors(f):
-    """Yun split of a polynomial into [(monic factor, multiplicity), ...].
+    """Yun split of a monic f into [(monic factor, multiplicity), ...].
 
-    Factors are pairwise coprime and squarefree; their product with
-    multiplicities recovers f up to the leading coefficient.
+    Factors are pairwise coprime, squarefree and integral; their product
+    with multiplicities is f.
     """
-    f = poly_monic(f)
-    if len(f) <= 1:
-        return []
-    fp = poly_derivative(f)
-    a = poly_gcd(f, fp)
-    b, _ = poly_divmod(f, a)
-    c, _ = poly_divmod(fp, a)
-    d = poly_sub(c, poly_derivative(b))
-    out = []
-    i = 1
+    if not f or f[-1] != 1:
+        raise ValueError("squarefree split needs a monic polynomial")
+    out, i = [], 0
+    b, d = f, poly_derivative(f)
     while len(b) > 1:
         g = poly_gcd(b, d)
-        if len(g) > 1:
+        if i and len(g) > 1:  # the first g is gcd(f, f'), not a factor
             out.append((g, i))
         b, _ = poly_divmod(b, g)
         c, _ = poly_divmod(d, g)

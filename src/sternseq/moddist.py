@@ -13,7 +13,7 @@ down the bits of N, so every count T(N; d, i) is a projection of that
 census.  The adjacency matrix is applied only as that sparse step: walk
 counts propagate rows, and its minimal polynomial, which sets the rate
 of convergence to the densities, is a Krylov sequence mod p certified
-over Z.  The dense `exactalg` kit is the oracle for `verify` and tests.
+over Z; the dense `exactalg` matrices are the oracle for `verify` and tests.
 """
 
 import math
@@ -27,11 +27,11 @@ from mpmath import mp
 from mpmath.libmp import NoConvergence
 
 from .core import ResourceLimitError, stern_table
-from .exactalg import squarefree_factors
+from .exactalg import (_KRYLOV_PRIME, _symmetric_lift, poly_divmod,
+                       poly_eval, squarefree_factors)
 
 DEFAULT_MATRIX_CAP = 4096
 DEFAULT_SCAN_CAP = 1 << 22
-_KRYLOV_PRIME = (1 << 521) - 1
 _ROOT_STEPS = 120
 
 ResiduePair = tuple[int, int]
@@ -90,9 +90,6 @@ def pair_counts(d: int) -> tuple[int, list[int]]:
     d * prod_{p | gcd(i, d)} (p - 1)/p feasible partners.
     """
     _check_modulus(d)
-    total = d * d
-    for p in _prime_factors(d):
-        total = total * (p * p - 1) // (p * p)
     rows = []
     for i in range(d):
         c = d
@@ -100,7 +97,14 @@ def pair_counts(d: int) -> tuple[int, list[int]]:
             if i % p == 0:
                 c = c * (p - 1) // p
         rows.append(c)
-    return total, rows
+    return _pair_total(d), rows
+
+
+def _pair_total(d: int) -> int:
+    total = d * d
+    for p in _prime_factors(d):
+        total = total * (p * p - 1) // (p * p)
+    return total
 
 
 def s_mod_pair(n: int, d: int) -> ResiduePair:
@@ -149,10 +153,13 @@ def graph(d: int) -> PairGraph:
 
 
 def _capped_graph(d: int, max_order: int) -> PairGraph:
-    total, _ = pair_counts(d)
+    _check_modulus(d)
+    # N_d = d^2 prod (1 - 1/p^2) > 6 d^2 / pi^2 > d^2 / 2, so a large d
+    # is rejected on that bound before it is factored
+    total = d * d // 2 + 1 if d * d > 2 * max_order else _pair_total(d)
     if total > max_order:
-        raise ResourceLimitError(
-            f"pair graph mod {d} has {total} vertices, cap is {max_order}")
+        raise ResourceLimitError(f"pair graph mod {d} has at least {total} "
+                                 f"vertices, cap is {max_order}")
     return graph(d)
 
 
@@ -359,7 +366,7 @@ def minimal_polynomial(d: int,
         echelon.append((pivot, [a * inv % p for a in vec],
                         [a * inv % p for a in combo]))
         x = [a % p for a in _step(g, x)]
-    f = [c - p if c > p // 2 else c for c in combo]
+    f = _symmetric_lift(combo, p)
     if any(any(_poly_row(g, v, f)) for v in range(len(g.vertices))):
         raise ResourceLimitError(
             f"Krylov minimal polynomial mod {d} failed its certificate")
@@ -411,23 +418,18 @@ def spectral(d: int, max_order: int = DEFAULT_MATRIX_CAP,
              digits: int = 40) -> SpectralReport:
     """Roots of the minimal polynomial with the derived decay data.
 
-    The root 2 (which must be simple) and the roots at 0 are split off
-    exactly in integers; the rest are the roots of the squarefree
-    factors, refined by one Durand-Kerner run at `digits` digits with
-    guard bits sized to each factor.  rho is the largest modulus among
-    the roots other than 2, sigma + 1 the largest multiplicity at that
-    modulus (moduli compared to digits/2 digits), and
-    tau = max(0, log2 rho) the decay exponent.
+    The root 2 (which must be simple, else ValueError) and the roots at
+    0 are split off exactly in integers; the rest are the roots of the
+    integer Yun factors, each refined by one Durand-Kerner run at
+    `digits` digits with guard bits sized to the factor.  rho is the
+    largest modulus among the roots other than 2, sigma + 1 the largest
+    multiplicity at that modulus (moduli compared to digits/2 digits),
+    and tau = max(0, log2 rho) the decay exponent.
     """
     f = minimal_polynomial(d, max_order=max_order)
-    q, acc = [], 0  # synthetic division by z - 2, top coefficient first
-    for c in reversed(f):
-        acc = 2 * acc + c
-        q.append(acc)
-    f_at_2 = q.pop()
-    q.reverse()
-    if f_at_2 or not sum(c * 2 ** k for k, c in enumerate(q)):
-        raise NonConvergenceError(
+    q, f_at_2 = poly_divmod(f, [-2, 1])
+    if f_at_2 or not poly_eval(q, 2):
+        raise ValueError(
             f"2 is not a simple root of the minimal polynomial mod {d}")
     zero_mult = next(k for k, c in enumerate(q) if c)
     rest = q[zero_mult:]
@@ -438,10 +440,7 @@ def spectral(d: int, max_order: int = DEFAULT_MATRIX_CAP,
         moduli.append((mp.zero, zero_mult))
     desc_f = list(reversed(f))
     for factor, mult in squarefree_factors(rest):
-        # monic factors of a monic integer polynomial are integral (Gauss)
-        if any(c.denominator != 1 for c in factor):
-            raise ValueError(f"squarefree factor mod {d} is not integral")
-        for z in _refined_roots([int(c) for c in factor], digits):
+        for z in _refined_roots(factor, digits):
             with mp.workdps(2 * digits):
                 res = abs(mp.polyval(desc_f, z))
                 moduli.append((abs(z), mult))

@@ -114,3 +114,66 @@ def dense_minimal_polynomial(M):
         echelon.append((pivot, vec, combo))
         power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*M)]
                  for row in power]
+
+
+def _trim(f):
+    f = list(f)
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _monic(f):
+    f = _trim(Fraction(c) for c in f)
+    return [c / f[-1] for c in f] if f else f
+
+
+def _derivative(f):
+    return _trim(i * c for i, c in enumerate(f) if i)
+
+
+def _sub(f, g):
+    n = max(len(f), len(g))
+    return _trim((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)
+                 for i in range(n))
+
+
+def _divmod(f, g):
+    g, r = _trim(Fraction(c) for c in g), _trim(Fraction(c) for c in f)
+    dg = len(g) - 1
+    q = [Fraction(0)] * max(len(r) - dg, 0)
+    for i in range(len(r) - dg - 1, -1, -1):
+        c = r[i + dg] / g[-1]
+        q[i] = c
+        for j, gc in enumerate(g):
+            r[i + j] -= c * gc
+    return _trim(q), _trim(r)
+
+
+def _gcd(f, g):
+    a, b = _trim(Fraction(c) for c in f), _trim(Fraction(c) for c in g)
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return _monic(a)
+
+
+def yun_squarefree_factors(f):
+    """Yun's squarefree split over the rationals, [(monic factor,
+    multiplicity), ...], straight from the recurrence with Euclid's gcd:
+    a = gcd(f, f'), b = f/a, d = f'/a - b', and each g = gcd(b, d)."""
+    f = _monic(f)
+    if len(f) <= 1:
+        return []
+    fp = _derivative(f)
+    a = _gcd(f, fp)
+    b, c = _divmod(f, a)[0], _divmod(fp, a)[0]
+    d = _sub(c, _derivative(b))
+    out, i = [], 1
+    while len(b) > 1:
+        g = _gcd(b, d)
+        if len(g) > 1:
+            out.append((g, i))
+        b, c = _divmod(b, g)[0], _divmod(d, g)[0]
+        d = _sub(c, _derivative(b))
+        i += 1
+    return out

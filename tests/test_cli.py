@@ -125,6 +125,11 @@ def test_exit_code_resource_limit():
         code, out, err = invoke("graph", "--d", "100",
                                 "--max-matrix-order", "10", *dot)
         assert code == 3 and out == "" and "resource limit" in err
+    # the cap rejects before the pair graph or d's factors are built
+    for d in ("100", str(10 ** 12), str(10 ** 30)):
+        for argv in (("graph", "--d", d), ("dist", "--d", d, "--N", "5")):
+            code, out, err = invoke(*argv, "--max-matrix-order", "10")
+            assert code == 3 and out == "" and "resource limit" in err
 
 
 def test_exit_code_non_convergence(monkeypatch):
@@ -133,6 +138,17 @@ def test_exit_code_non_convergence(monkeypatch):
         sternseq.spectral(7)
     code, out, err = invoke("spectral", "--d", "7")
     assert code == 4 and out == "" and "numerical error" in err
+
+
+def test_exit_code_double_root_at_two(monkeypatch):
+    """A minimal polynomial with 2 as a double root is a failed exact
+    claim: ValueError, exit 2."""
+    monkeypatch.setattr(sternseq.moddist, "minimal_polynomial",
+                        lambda d, max_order=None: [0, 4, -4, 1])
+    with pytest.raises(ValueError, match="simple root"):
+        sternseq.spectral(3)
+    code, out, err = invoke("spectral", "--d", "3")
+    assert code == 2 and out == "" and "domain error" in err
 
 
 def test_verify_failure_exit_code(monkeypatch):

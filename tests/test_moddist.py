@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sternseq
-from oracles import dense_minimal_polynomial
+from oracles import dense_minimal_polynomial, yun_squarefree_factors
 from sternseq import (ResourceLimitError, adjacency, count_T, count_block,
                       density, dist_table, feasible_pairs, graph,
                       graph_export, index_I, left_step, minimal_polynomial,
                       pair_counts, right_step, s_mod_pair, spectral, stern,
                       stern_pair, stern_table, walk_counts)
-from sternseq.exactalg import mat_is_zero, mat_mul, mat_pow, poly_eval_matrix
+from sternseq.exactalg import (mat_is_zero, mat_mul, mat_pow, poly_divmod,
+                               poly_eval_matrix, squarefree_factors)
 
 ADJ3 = [
     [1, 0, 0, 1, 0, 0, 0, 0],
@@ -278,6 +279,68 @@ def test_minimal_polynomial_certificate_survives_optimize():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["raised", "0 4 -4 1 -2 1", "1"]
+
+
+def _poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+small_monic = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(
+    lambda low: low + [1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_monic, min_size=1, max_size=3))
+def test_squarefree_factors_match_yun_oracle(gs):
+    """The modular Yun split of prod g_i^i equals the Fraction Yun and
+    multiplies back to the input."""
+    f = [1]
+    for i, g in enumerate(gs, 1):
+        for _ in range(i):
+            f = _poly_mul(f, g)
+    got = squarefree_factors(f)
+    assert got == yun_squarefree_factors(f)
+    back = [1]
+    for g, mult in got:
+        assert all(isinstance(c, int) for c in g) and g[-1] == 1
+        for _ in range(mult):
+            back = _poly_mul(back, g)
+    assert back == f
+
+
+def test_squarefree_factors_on_minimal_polynomials():
+    for d in range(2, 13):
+        q, r = poly_divmod(minimal_polynomial(d), [-2, 1])
+        assert r == []
+        rest = q[next(k for k, c in enumerate(q) if c):]
+        assert squarefree_factors(rest) == yun_squarefree_factors(rest)
+
+
+def test_gcd_certificate_survives_optimize():
+    """Under python -O a gcd prime too small for the factors still fails
+    the exact division certificate; small factors still pass."""
+    src = (
+        "import sys\n"
+        "from sternseq import ResourceLimitError, exactalg, moddist\n"
+        "exactalg._KRYLOV_PRIME = 1009\n"
+        "try:\n"
+        # (z - 600)^2 (z + 1): the gcd z - 600 lifts to z + 409 mod 1009
+        "    exactalg.squarefree_factors([360000, 358800, -1199, 1])\n"
+        "except ResourceLimitError:\n"
+        "    print('raised')\n"
+        "q, _ = exactalg.poly_divmod(moddist.minimal_polynomial(3), [-2, 1])\n"
+        "print(*exactalg.squarefree_factors(q[1:]))\n"
+        "print(sys.flags.optimize)\n")
+    src_dir = Path(sternseq.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src_dir)}
+    proc = subprocess.run([sys.executable, "-O", "-c", src], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["raised", "([-2, 1, 0, 1], 1)", "1"]
 
 
 def test_spectral_d3():
