@@ -12,7 +12,7 @@ import argparse
 import time
 from dataclasses import dataclass
 
-from sternseq import index_I, pair_counts, spectral
+from sternseq import graph, index_I, spectral
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ def main(cfg: Config) -> None:
         start = time.perf_counter()
         rep = spectral(d, digits=cfg.digits)
         wall = time.perf_counter() - start
-        print(f"{d}\t{pair_counts(d)[0]}\t{index_I(d)}\t"
+        print(f"{d}\t{len(graph(d).vertices)}\t{index_I(d)}\t"
               f"{len(rep.minimal_poly) - 1}\t{rep.rho:.12f}\t"
               f"{rep.tau:.12f}\t{rep.sigma}\t{wall:.3f}", flush=True)
 

@@ -22,7 +22,7 @@ from .moddist import (DEFAULT_MATRIX_CAP, DEFAULT_SCAN_CAP, DistTable,
                       graph_export, index_I, left_step,
                       minimal_polynomial, pair_counts, right_step,
                       s_mod_pair, spectral, walk_counts)
-from .smalld import (MU, ComplexExact, Sqrt7Complex, a3_enumerate, a3_member,
+from .smalld import (MU, Sqrt7Complex, a3_enumerate, a3_member,
                      a3_row_count, a3_row_count_closed, delta3,
                      delta3_classify, delta3_trace, even_stern_index,
                      hyperbinary, t3_zero_closed)

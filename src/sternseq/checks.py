@@ -176,7 +176,7 @@ def suite_moddist():
         ok &= density(d, 0) * index_I(d) == 1
         for i in range(d):
             ok &= count_T(N, d, i, method="scan") == \
-                count_T(N, d, i, method="blocks")
+                count_T(N, d, i, method="auto")
     out.append(("count strategies agree and densities sum to 1", ok, ""))
     ok = True
     for d in (2, 3, 4, 5):

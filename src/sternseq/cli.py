@@ -113,7 +113,7 @@ def build_parser() -> _Parser:
     add("minkowski", (("p",), {"type": int}), (("q",), {"type": int}))
     add("dist", (("--d",), {"type": int, "required": True}),
         (("--N",), {"type": int, "required": True}),
-        (("--method",), {"choices": ("auto", "scan", "blocks"),
+        (("--method",), {"choices": ("auto", "scan"),
                          "default": "auto"}),
         (("--pairs",), {"action": "store_true"}))
     add("graph", (("--d",), {"type": int, "required": True}),

@@ -9,7 +9,7 @@ functions are the oracle for `verify` and the tests.
 
 from .core import ResourceLimitError
 
-# the prime of the Krylov sequence in `moddist` and of the gcds here
+# the prime of the Berlekamp-Massey terms in `moddist` and of the gcds here
 _KRYLOV_PRIME = (1 << 521) - 1
 
 

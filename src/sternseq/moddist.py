@@ -12,8 +12,10 @@ doubling step gives the census of every pair over [0, N) in one pass
 down the bits of N, so every count T(N; d, i) is a projection of that
 census.  The adjacency matrix is applied only as that sparse step: walk
 counts propagate rows, and its minimal polynomial, which sets the rate
-of convergence to the densities, is a Krylov sequence mod p certified
-over Z; the dense `exactalg` matrices are the oracle for `verify` and tests.
+of convergence to the densities, comes from Berlekamp-Massey on a scalar
+sequence mod p, certified over Z on one vertex per orbit of the unit
+scalings; the dense `exactalg` matrices are the oracle for `verify` and
+tests.
 """
 
 import math
@@ -90,6 +92,9 @@ def pair_counts(d: int) -> tuple[int, list[int]]:
     d * prod_{p | gcd(i, d)} (p - 1)/p feasible partners.
     """
     _check_modulus(d)
+    if d > DEFAULT_SCAN_CAP:
+        raise ResourceLimitError(f"modulus {d} exceeds the pair-count cap "
+                                 f"{DEFAULT_SCAN_CAP}")
     rows = []
     for i in range(d):
         c = d
@@ -139,7 +144,7 @@ class PairGraph:
     by_first: tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def graph(d: int) -> PairGraph:
     verts = tuple(feasible_pairs(d))
     index = {v: i for i, v in enumerate(verts)}
@@ -217,7 +222,7 @@ def _pair_census(N: int, d: int) -> list[int]:
     its vertex.  One pass down the bits of N, carrying the pair of the
     current prefix, costs O(log N * N_d).
     """
-    g = graph(d)
+    g = _capped_graph(d, DEFAULT_MATRIX_CAP)
     counts = [0] * len(g.vertices)
     pos = g.index[(0, 1)]  # S_d(0)
     for bit in bin(N)[2:]:
@@ -231,18 +236,19 @@ def _pair_census(N: int, d: int) -> list[int]:
 
 
 def _vertex_counts(N: int, d: int, method: str, scan_cap: int) -> list[int]:
-    # "auto" and "blocks" take the census; "scan" is its O(N) oracle
-    # twin, a histogram of consecutive pairs from the table of s mod d
-    if method in ("auto", "blocks"):
+    # "auto" takes the census; "scan" is its O(N) oracle twin, a
+    # histogram of consecutive pairs from the table of s mod d
+    if method == "auto":
         return _pair_census(N, d)
     if method != "scan":
         raise ValueError(f"unknown method {method!r}")
     if N > scan_cap:
         raise ResourceLimitError(
             f"direct scan of {N} values exceeds cap {scan_cap}")
+    g = _capped_graph(d, DEFAULT_MATRIX_CAP)
     table = stern_table(N, mod=d)
     hist = Counter(zip(table, table[1:]))
-    return [hist[v] for v in graph(d).vertices]
+    return [hist[v] for v in g.vertices]
 
 
 def count_block(d: int, gamma: ResiduePair, U1: int, U2: int) -> int:
@@ -261,10 +267,11 @@ def count_T(N: int, d: int, i: int, method: str = "auto",
             scan_cap: int = DEFAULT_SCAN_CAP) -> int:
     """T(N; d, i) = #{ n < N : s(n) == i (mod d) }.
 
-    Methods "auto" and "blocks" sum the pair census over the pairs with
-    first coordinate i (O(log N) vector steps); method "scan" counts
-    pairs in the table of s mod d directly (O(N)).  The two must agree
-    bit for bit.
+    Method "auto" sums the pair census over the pairs with first
+    coordinate i (O(log N) vector steps); method "scan" counts pairs in
+    the table of s mod d directly (O(N)).  The two must agree bit for
+    bit.  Either raises ResourceLimitError when the pair graph mod d has
+    more than DEFAULT_MATRIX_CAP vertices.
     """
     _check_modulus(d)
     if N < 0:
@@ -340,36 +347,42 @@ def minimal_polynomial(d: int,
                        max_order: int = DEFAULT_MATRIX_CAP) -> IntPolynomial:
     """Monic minimal polynomial mu_M of the adjacency matrix, ascending.
 
-    The first dependency among x, xM, xM^2, ... mod 2^521 - 1, x seeded
-    by d (Wiedemann 1986), is a monic f with deg f <= deg mu_M in
-    symmetric residues; e_v f(M) = 0 over Z for every vertex v proves
-    mu_M | f, so f = mu_M.  A failed proof raises ResourceLimitError.
+    Berlekamp-Massey (Massey 1969) on the 2 N_d terms x M^k y^T mod
+    2^521 - 1, x and y seeded by d (Wiedemann 1986), gives a monic f
+    with deg f <= deg mu_M in symmetric residues.  The unit scalings
+    (i, j) -> (ui, uj) permute the vertices and commute with M, so the
+    rows of f(M) within one orbit are permutations of each other, and
+    e_v f(M) = 0 over Z for one vertex v per orbit proves mu_M | f, so
+    f = mu_M.  A failed proof raises ResourceLimitError.
     """
     g = _capped_graph(d, max_order)
     p = _KRYLOV_PRIME
     rng = random.Random(d)
     x = [rng.randrange(p) for _ in g.vertices]
-    echelon = []  # (pivot, reduced vector with 1 at pivot, combination)
-    while True:
-        vec = x
-        combo = [0] * len(echelon) + [1]
-        for pivot, evec, ecombo in echelon:
-            c = vec[pivot]
-            if c:
-                vec = [(a - c * b) % p for a, b in zip(vec, evec)]
-                for pos, b in enumerate(ecombo):
-                    combo[pos] = (combo[pos] - c * b) % p
-        pivot = next((pos for pos, a in enumerate(vec) if a), None)
-        if pivot is None:
-            break
-        inv = pow(vec[pivot], -1, p)
-        echelon.append((pivot, [a * inv % p for a in vec],
-                        [a * inv % p for a in combo]))
+    y = [rng.randrange(p) for _ in g.vertices]
+    seq, conn, prev = [], [1], [1]  # terms; connection polynomials
+    length, shift, last = 0, 1, 1  # linear complexity; prev's lag, delta
+    for k in range(2 * len(g.vertices)):
+        seq.append(sum(a * b for a, b in zip(x, y)) % p)
         x = [a % p for a in _step(g, x)]
-    f = _symmetric_lift(combo, p)
-    if any(any(_poly_row(g, v, f)) for v in range(len(g.vertices))):
+        delta = sum(c * s for c, s in zip(conn, reversed(seq))) % p
+        if delta:
+            coef = delta * pow(last, -1, p) % p
+            new = conn + [0] * (shift + len(prev) - len(conn))
+            for pos, c in enumerate(prev, shift):
+                new[pos] = (new[pos] - coef * c) % p
+            if 2 * length <= k:
+                length, prev, last, shift = k + 1 - length, conn, delta, 0
+            conn = new
+        shift += 1
+    # f(z) = z^length conn(1/z); conn has degree at most length
+    f = _symmetric_lift((conn + [0] * length)[length::-1], p)
+    units = [u for u in range(1, d) if math.gcd(u, d) == 1]
+    reps = {min(g.index[u * i % d, u * j % d] for u in units)
+            for i, j in g.vertices}
+    if any(any(_poly_row(g, v, f)) for v in reps):
         raise ResourceLimitError(
-            f"Krylov minimal polynomial mod {d} failed its certificate")
+            f"minimal polynomial mod {d} failed its certificate")
     return f
 
 

@@ -59,9 +59,6 @@ class Sqrt7Complex:
         return Sqrt7Complex(self.re, -self.im7)
 
 
-#: alias: the exact complex coordinate type used by the closed forms
-ComplexExact = Sqrt7Complex
-
 #: (-1 + sqrt(7) i) / 2, the decisive non-real eigenvalue; |MU|^2 = 2.
 MU = Sqrt7Complex(Fraction(-1, 2), Fraction(1, 2))
 

@@ -52,6 +52,8 @@ def test_pair_count_golden():
     assert pair_counts(3)[0] == 8
     assert pair_counts(2)[0] == 3
     assert pair_counts(6)[0] == 24
+    with pytest.raises(ResourceLimitError):  # before d is factored
+        pair_counts(10**12)
 
 
 def test_pair_count_formula_vs_enumeration():
@@ -165,7 +167,7 @@ def test_count_strategies_are_bit_identical():
         d = rng.choice([2, 3, 4, 5, 7, 9])
         i = rng.randrange(d)
         a = count_T(N, d, i, method="scan")
-        b = count_T(N, d, i, method="blocks")
+        b = count_T(N, d, i, method="auto")
         assert a == b
         assert count_T(N, d, i) == a
 
@@ -173,6 +175,9 @@ def test_count_strategies_are_bit_identical():
 def test_count_T_caps_and_validation():
     with pytest.raises(ResourceLimitError):
         count_T(1 << 12, 3, 0, method="scan", scan_cap=1 << 10)
+    for method in ("auto", "scan"):  # 10^12 pairs: rejected unbuilt
+        with pytest.raises(ResourceLimitError):
+            count_T(8, 10**6, 0, method=method)
     assert count_T(100, 3, 5) == count_T(100, 3, 2)  # residue is reduced
     with pytest.raises(ValueError):
         count_T(100, 3, 0, method="nope")
@@ -201,7 +206,7 @@ def test_dist_table_counts_and_deviations():
     assert dt.counts[0] == count_T(1 << 12, 3, 0)
     assert sum(dt.pair_counts.values()) == 1 << 12
     assert max(dt.deviations()) < 0.02
-    far = dist_table(1 << 18, 3, method="blocks")
+    far = dist_table(1 << 18, 3, method="auto")
     assert max(far.deviations()) < max(dt.deviations())
 
 
@@ -230,7 +235,7 @@ def test_census_far_past_the_scan_cap():
 def test_dist_table_methods_agree():
     for N in (1, 37, 4096, 12345):
         a = dist_table(N, 5, method="scan")
-        b = dist_table(N, 5, method="blocks")
+        b = dist_table(N, 5, method="auto")
         assert a.counts == b.counts
 
 
@@ -252,11 +257,36 @@ def test_minimal_polynomial_annihilates():
 
 
 def test_minimal_polynomial_past_the_dense_range():
-    for d, degree in ((15, 60), (16, 58)):
+    for d, degree in ((15, 60), (16, 58), (17, 84), (19, 121), (20, 89)):
         f = minimal_polynomial(d)
         assert len(f) - 1 == degree and f[-1] == 1
         assert sum(c * 2 ** k for k, c in enumerate(f)) == 0
         assert sum(k * c * 2 ** (k - 1) for k, c in enumerate(f) if k) != 0
+
+
+def test_unit_scalings_act_freely():
+    """(i, j) -> (ui, uj) permutes the feasible pairs in index_I(d)
+    orbits of phi(d) vertices each; the certificate of
+    minimal_polynomial checks one row per orbit."""
+    for d in range(2, 41):
+        units = [u for u in range(1, d) if math.gcd(u, d) == 1]
+        orbits = {frozenset((u * i % d, u * j % d) for u in units)
+                  for i, j in feasible_pairs(d)}
+        assert len(orbits) == index_I(d)
+        assert all(len(orbit) == len(units) for orbit in orbits)
+
+
+@pytest.mark.parametrize("d", [9, 12])
+def test_minimal_polynomial_certificate_rejects_a_divisor(d, monkeypatch):
+    """A lift that returns mu_M / (z - 2) fails the orbit certificate."""
+    lift = sternseq.moddist._symmetric_lift
+
+    def lift_divisor(f, p):
+        return poly_divmod(lift(f, p), [-2, 1])[0]
+
+    monkeypatch.setattr(sternseq.moddist, "_symmetric_lift", lift_divisor)
+    with pytest.raises(ResourceLimitError):
+        minimal_polynomial(d)
 
 
 def test_minimal_polynomial_certificate_survives_optimize():

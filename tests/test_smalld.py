@@ -85,7 +85,7 @@ def test_t3_zero_closed_matches_count(table16_mod3):
     for r in range(15):
         assert t3_zero_closed(r) == table16_mod3[:1 << r].count(0)
     for r in range(15, 21):
-        assert t3_zero_closed(r) == count_T(1 << r, 3, 0, method="blocks")
+        assert t3_zero_closed(r) == count_T(1 << r, 3, 0, method="auto")
 
 
 def test_delta3_definition_and_methods():
