@@ -9,11 +9,12 @@ suite), 2 domain error, 3 resource cap, 4 numerical non-convergence.
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import checks
-from .core import (DEFAULT_ROW_CAP, ResourceLimitError, diatomic_row,
+from .core import (DEFAULT_DIGIT_CAP, ResourceLimitError, diatomic_row,
                    stern, stern_pair, stern_ratio)
 from .enumeration import (INFINITY, brocot_row, index_of_rational,
                           minkowski_q, rational_of_index)
@@ -26,6 +27,9 @@ from .sums import DEFAULT_EXACT_CAP, alpha_estimate, prefix_row_sum, \
     row_sum, t_prefix_sum
 
 FORMAT_VERSION = "1"
+
+#: decimal digits of 2^DEFAULT_DIGIT_CAP, the largest answer printed
+_STR_DIGITS = int(DEFAULT_DIGIT_CAP * math.log10(2)) + 1
 
 #: Where each library operation is exercised from (one subcommand each;
 #: operations without their own subcommand are covered by the named
@@ -189,8 +193,8 @@ def _h_minkowski(a):
 
 
 def _h_dist(a):
-    _capped_graph(a.d, a.max_matrix_order)
-    t = dist_table(a.N, a.d, method=a.method, include_pairs=a.pairs)
+    t = dist_table(a.N, a.d, method=a.method, include_pairs=a.pairs,
+                   max_order=a.max_matrix_order)
     dev = t.deviations()
     payload = {"d": a.d, "N": str(a.N), "method": a.method,
                "counts": [str(c) for c in t.counts],
@@ -355,6 +359,9 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
+    # 0 is no limit, and Pythons before 3.10.7 have none
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < _STR_DIGITS:
+        sys.set_int_max_str_digits(_STR_DIGITS)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

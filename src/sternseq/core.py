@@ -14,10 +14,19 @@ from fractions import Fraction
 from typing import NamedTuple
 
 DEFAULT_ROW_CAP = 1 << 22
+#: largest bit length of an integer built from a bit-length input
+DEFAULT_DIGIT_CAP = 1 << 16
 
 
 class ResourceLimitError(Exception):
     """Raised when an operation would exceed a configured size cap."""
+
+
+def _check_bits(bits: int, what: str):
+    """Raise ResourceLimitError when bits exceeds DEFAULT_DIGIT_CAP."""
+    if bits > DEFAULT_DIGIT_CAP:
+        raise ResourceLimitError(f"{what} {bits} exceeds the bit cap "
+                                 f"{DEFAULT_DIGIT_CAP}")
 
 
 class SternPair(NamedTuple):

@@ -12,7 +12,8 @@ the Minkowski question-mark function restricted to rationals.
 
 from fractions import Fraction
 
-from .core import DEFAULT_ROW_CAP, ResourceLimitError, stern_pair, stern_table
+from .core import (DEFAULT_ROW_CAP, ResourceLimitError, _check_bits,
+                   stern_pair, stern_table)
 
 
 class _Infinity:
@@ -129,9 +130,11 @@ def index_of_rational(x: Fraction) -> int:
     if x <= 0:
         raise ValueError("only positive rationals are enumerated")
     if x >= 1:
+        cf = to_odd_cfrac(x)
+        _check_bits(sum(cf), "index bit length")
         n = 0
         ones = True
-        for run in reversed(to_odd_cfrac(x)):
+        for run in reversed(cf):
             n <<= run
             if ones:
                 n |= (1 << run) - 1
@@ -190,7 +193,8 @@ def minkowski_q(x: Fraction) -> DyadicRational:
     while p:
         a = q // p
         p, q = q % p, p
-        num = (num << a) + sign
         exponent += a
+        _check_bits(exponent, "quotient sum")
+        num = (num << a) + sign
         sign = -sign
     return DyadicRational(num, exponent - 1)

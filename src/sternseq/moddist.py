@@ -18,23 +18,25 @@ scalings; the dense `exactalg` matrices are the oracle for `verify` and
 tests.
 """
 
+import cmath
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp
-from mpmath.libmp import NoConvergence
 
 from .core import ResourceLimitError, stern_table
 from .exactalg import (_KRYLOV_PRIME, _symmetric_lift, poly_divmod,
-                       poly_eval, squarefree_factors)
+                       poly_eval, poly_gcd, squarefree_factors)
 
 DEFAULT_MATRIX_CAP = 4096
 DEFAULT_SCAN_CAP = 1 << 22
-_ROOT_STEPS = 120
+_SEED_RADIUS = 1.6  # every root but 2 has modulus below 1.58 for d <= 24
+_SWEEPS = 100
 
 ResiduePair = tuple[int, int]
 IntMatrix = list[list[int]]
@@ -50,8 +52,12 @@ def _check_modulus(d: int):
         raise ValueError("modulus must be at least 2")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _prime_factors(d: int) -> tuple[int, ...]:
+    # trial division up to sqrt(d) <= DEFAULT_SCAN_CAP
+    if d > DEFAULT_SCAN_CAP ** 2:
+        raise ResourceLimitError(f"modulus {d} exceeds the factoring cap "
+                                 f"{DEFAULT_SCAN_CAP ** 2}")
     out = []
     m = d
     p = 2
@@ -214,7 +220,8 @@ def _poly_row(g: PairGraph, v: int, f: IntPolynomial) -> list[int]:
     return vec
 
 
-def _pair_census(N: int, d: int) -> list[int]:
+def _pair_census(N: int, d: int,
+                 max_order: int = DEFAULT_MATRIX_CAP) -> list[int]:
     """Occurrences of each feasible pair (by vertex) among S_d(n), n < N.
 
     With C(m) the census of [0, m), C(2m) = A C(m) and C(2m+1) =
@@ -222,7 +229,7 @@ def _pair_census(N: int, d: int) -> list[int]:
     its vertex.  One pass down the bits of N, carrying the pair of the
     current prefix, costs O(log N * N_d).
     """
-    g = _capped_graph(d, DEFAULT_MATRIX_CAP)
+    g = _capped_graph(d, max_order)
     counts = [0] * len(g.vertices)
     pos = g.index[(0, 1)]  # S_d(0)
     for bit in bin(N)[2:]:
@@ -235,17 +242,18 @@ def _pair_census(N: int, d: int) -> list[int]:
     return counts
 
 
-def _vertex_counts(N: int, d: int, method: str, scan_cap: int) -> list[int]:
+def _vertex_counts(N: int, d: int, method: str, scan_cap: int,
+                   max_order: int = DEFAULT_MATRIX_CAP) -> list[int]:
     # "auto" takes the census; "scan" is its O(N) oracle twin, a
     # histogram of consecutive pairs from the table of s mod d
     if method == "auto":
-        return _pair_census(N, d)
+        return _pair_census(N, d, max_order)
     if method != "scan":
         raise ValueError(f"unknown method {method!r}")
     if N > scan_cap:
         raise ResourceLimitError(
             f"direct scan of {N} values exceeds cap {scan_cap}")
-    g = _capped_graph(d, DEFAULT_MATRIX_CAP)
+    g = _capped_graph(d, max_order)
     table = stern_table(N, mod=d)
     hist = Counter(zip(table, table[1:]))
     return [hist[v] for v in g.vertices]
@@ -328,13 +336,15 @@ class DistTable:
 
 def dist_table(N: int, d: int, method: str = "auto",
                include_pairs: bool = False,
-               scan_cap: int = DEFAULT_SCAN_CAP) -> DistTable:
+               scan_cap: int = DEFAULT_SCAN_CAP,
+               max_order: int = DEFAULT_MATRIX_CAP) -> DistTable:
     """Residue distribution of s(n) mod d over n < N, projected from
-    one pair census (see count_T for the methods)."""
+    one pair census (see count_T for the methods); the pair graph may
+    have at most max_order vertices."""
     _check_modulus(d)
     if N < 1:
         raise ValueError("N must be positive")
-    per_vertex = _vertex_counts(N, d, method, scan_cap)
+    per_vertex = _vertex_counts(N, d, method, scan_cap, max_order)
     g = graph(d)
     counts = tuple(sum(per_vertex[pos] for pos in group)
                    for group in g.by_first)
@@ -411,20 +421,100 @@ class SpectralReport:
     roots: tuple[RootValue, ...]
 
 
-def _refined_roots(ints: IntPolynomial, digits: int) -> list:
-    # Durand-Kerner evaluates f near its roots, where terms up to
-    # 2^deg * max|c| cancel (no root of M exceeds 2 in modulus), so the
-    # guard bits cover that many bits beyond `digits`
-    deg = len(ints) - 1
-    guard = deg + max(abs(c) for c in ints).bit_length()
-    with mp.workdps(digits):
-        try:
-            return mp.polyroots(ints[::-1], maxsteps=_ROOT_STEPS,
-                                extraprec=guard)
-        except NoConvergence:
-            raise NonConvergenceError(
-                f"root refinement of a degree-{deg} factor did not converge "
-                f"in {_ROOT_STEPS} steps") from None
+def _horner(f, z, u):
+    # f(z), f'(z) and the running error bound u (2 mu - |f(z)|) on the
+    # computed f(z), for unit roundoff u (Higham, Accuracy and
+    # Stability of Numerical Algorithms, Alg. 5.1); z is a complex or
+    # an mpc
+    p, dp, az = f[-1] + 0 * z, 0 * z, abs(z)
+    mu = abs(p) / 2
+    for c in reversed(f[:-1]):
+        dp = dp * z + p
+        p = p * z + c
+        mu = mu * az + abs(p)
+    return p, dp, u * (2 * mu - abs(p))
+
+
+def _aberth(f, z: list, u):
+    # Ehrlich-Aberth sweeps on z in place, at most _SWEEPS of them; a
+    # point stops once |f(z)| is within the error bound of its own
+    # evaluation, or when it meets another point
+    moving = range(len(z))
+    for _ in range(_SWEEPS):
+        still = []
+        for i in moving:
+            zi = z[i]
+            p, dp, err = _horner(f, zi, u)
+            diffs = [zi - zj for j, zj in enumerate(z) if j != i]
+            if abs(p) <= err or not all(diffs):
+                continue
+            den = dp - p * sum(1 / w for w in diffs)
+            if den:
+                z[i] = zi - p / den
+                still.append(i)
+        if not still:
+            return
+        moving = still
+
+
+def _certified_roots(f: IntPolynomial, digits: int) -> list:
+    """[(root, radius), ...] of a squarefree integer f of degree n >= 1.
+
+    Float Aberth seeds from a circle are polished by the same sweeps
+    on mpc values, at a precision sized from the seeds.  With
+    W_i = f(z_i) / prod_{j != i} (z_i - z_j), the disks D(z_i, n |W_i|)
+    cover the roots, and a set of k disks apart from the rest holds k
+    roots (Carstensen, Numer. Math. 59, 1991); |f(z_i)| is bounded with
+    its evaluation error.  The disks must have radius below 10^-digits
+    and stay apart at three times their radii, else
+    NonConvergenceError.  The roots are closed under conjugation, and
+    under z -> -z when f(-z) = +-f(z); a disk that meets the axis of
+    such a mirror holds a root whose image lies within three radii of
+    the centre, so in no other disk, so in the same one: that root is
+    on the axis, and gets an exactly zero imaginary or real part.
+    """
+    n = len(f) - 1
+    z = [_SEED_RADIUS * cmath.exp(2j * math.pi * (k + 0.25) / n)
+         for k in range(n)]
+    # complex products round to within sqrt(2) gamma_2 (Higham, 3.6),
+    # so 2 eps = 4u covers them
+    _aberth(f, z, 2 * sys.float_info.epsilon)
+    # a polished radius is about 2 n u B / |f'| with B = 2 mu - |f|
+    # and u = 2^(1 - prec): below n kappa 2^(2 - prec), kappa the
+    # largest B / |f'| at the seeds; two more bits cover kappa moving
+    kappa = max((b / abs(dp) for _, dp, b in (_horner(f, w, 1.0) for w in z)
+                 if dp), default=1.0)
+    if not math.isfinite(kappa):
+        raise NonConvergenceError(
+            f"root seeds of a degree-{n} factor diverged")
+    prec = math.ceil(digits * math.log2(10) + math.log2(n * kappa)) + 4
+    mirrored = not any(f[n - 1::-2])  # f(-z) = +-f(z)
+    out = []
+    with mp.workprec(prec):
+        z = [mp.mpc(w) for w in z]
+        _aberth(f, z, mp.eps)
+        radii = []
+        for i, zi in enumerate(z):
+            p, _, err = _horner(f, zi, mp.eps)
+            gap = mp.fprod(zi - zj for j, zj in enumerate(z) if j != i)
+            if not gap:
+                raise NonConvergenceError(
+                    f"root refinement of a degree-{n} factor ended on "
+                    "coincident points")
+            radii.append(n * (abs(p) + err) / abs(gap))
+        limit = mp.mpf(10) ** -digits
+        for i, (zi, r) in enumerate(zip(z, radii)):
+            if not (r < limit and all(abs(zi - z[j]) > 3 * (r + radii[j])
+                                      for j in range(i))):
+                raise NonConvergenceError(
+                    f"root inclusion disks of a degree-{n} factor are not "
+                    f"disjoint with radius below 1e-{digits}")
+            if abs(zi.imag) <= r:
+                zi = mp.mpc(zi.real, 0)
+            elif mirrored and abs(zi.real) <= r:
+                zi = mp.mpc(0, zi.imag)
+            out.append((zi, r))
+    return out
 
 
 def spectral(d: int, max_order: int = DEFAULT_MATRIX_CAP,
@@ -432,12 +522,15 @@ def spectral(d: int, max_order: int = DEFAULT_MATRIX_CAP,
     """Roots of the minimal polynomial with the derived decay data.
 
     The root 2 (which must be simple, else ValueError) and the roots at
-    0 are split off exactly in integers; the rest are the roots of the
-    integer Yun factors, each refined by one Durand-Kerner run at
-    `digits` digits with guard bits sized to the factor.  rho is the
-    largest modulus among the roots other than 2, sigma + 1 the largest
-    multiplicity at that modulus (moduli compared to digits/2 digits),
-    and tau = max(0, log2 rho) the decay exponent.
+    0 are split off exactly in integers.  Each integer Yun factor g is
+    split by the exact gcd h of g(z) and g(-z), whose roots are closed
+    under z -> -z, so that pure imaginary roots are recognised; the
+    roots of h and g / h come with disjoint inclusion disks of radius
+    below 10^-digits (see _certified_roots; NonConvergenceError when
+    the certificate fails).  rho is the largest modulus among the roots
+    other than 2, sigma + 1 the largest multiplicity among the roots
+    whose modulus interval [|z| - r, |z| + r] meets rho's, and
+    tau = max(0, log2 rho) the decay exponent.
     """
     f = minimal_polynomial(d, max_order=max_order)
     q, f_at_2 = poly_divmod(f, [-2, 1])
@@ -447,29 +540,34 @@ def spectral(d: int, max_order: int = DEFAULT_MATRIX_CAP,
     zero_mult = next(k for k, c in enumerate(q) if c)
     rest = q[zero_mult:]
     roots = [RootValue(complex(2, 0), 1, 0.0, True)]
-    moduli = []  # (modulus, multiplicity) of every root but 2
+    moduli = []  # (modulus, radius, multiplicity) of every root but 2
     if zero_mult:
         roots.append(RootValue(complex(0, 0), zero_mult, 0.0, True))
-        moduli.append((mp.zero, zero_mult))
+        moduli.append((mp.zero, 0, zero_mult))
     desc_f = list(reversed(f))
     for factor, mult in squarefree_factors(rest):
-        for z in _refined_roots(factor, digits):
-            with mp.workdps(2 * digits):
-                res = abs(mp.polyval(desc_f, z))
-                moduli.append((abs(z), mult))
-            roots.append(RootValue(complex(float(z.real), float(z.imag)),
-                                   mult, float(res), False))
+        n = len(factor) - 1
+        even = poly_gcd(factor, [-c if (n - k) % 2 else c
+                                 for k, c in enumerate(factor)])
+        for part in (even, poly_divmod(factor, even)[0]):
+            if len(part) == 1:
+                continue
+            for z, r in _certified_roots(part, digits):
+                with mp.workdps(2 * digits):
+                    res = abs(mp.polyval(desc_f, z))
+                    moduli.append((abs(z), r, mult))
+                roots.append(RootValue(complex(float(z.real),
+                                               float(z.imag)),
+                                       mult, float(res), False))
     roots.sort(key=lambda rv: (rv.value.real, rv.value.imag))
-    top = max((m for m, _ in moduli), default=mp.zero)
+    top, top_r, _ = max(moduli, default=(mp.zero, 0, 1))
+    mult = max((k for m, r, k in moduli if m + r >= top - top_r), default=1)
     tau = 0.0
-    with mp.workdps(digits):
-        # compare moduli and round log2 at half the working digits;
-        # rounding log2 there before the one rounding to float makes
-        # tau = 1/2 at d = 3 exact
-        scale = mp.mpf(10) ** (digits // 2)
-        mult = max((k for m, k in moduli if m > top - 1 / scale),
-                   default=1)
-        if top > 1:
+    if top > 1:
+        with mp.workdps(digits):
+            # round log2 at half the working digits before the one
+            # rounding to float, which makes tau = 1/2 at d = 3 exact
+            scale = mp.mpf(10) ** (digits // 2)
             tau = float(mp.nint(mp.log(top, 2) * scale) / scale)
     return SpectralReport(d, tuple(f), float(top), mult - 1, mult, tau,
                           tuple(roots))

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .core import ResourceLimitError, stern_table
+from .core import (DEFAULT_DIGIT_CAP, ResourceLimitError, _check_bits,
+                   stern_table)
 from .moddist import _pair_census, graph, s_mod_pair
 
 DEFAULT_ENUM_CAP = 1 << 24
-DEFAULT_DIGIT_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -131,6 +131,7 @@ def a3_row_count(r: int) -> int:
     """
     if r < 0:
         raise ValueError("row exponent must be nonnegative")
+    _check_bits(r, "row exponent")
     seeds = (0, 0, 2)
     if r < 3:
         return seeds[r]
@@ -145,6 +146,7 @@ def a3_row_count_closed(r: int) -> int:
     with c = (-7 + 5 sqrt(7) i)/56, evaluated exactly."""
     if r < 0:
         raise ValueError("row exponent must be nonnegative")
+    _check_bits(r, "row exponent")
     z = _C_ROW * MU ** r
     return _integral(Fraction(1 << r, 4) + 2 * z.re, "row count", r)
 
@@ -154,6 +156,7 @@ def t3_zero_closed(r: int) -> int:
     2^r/4 + c mu^r + conj(c mu^r) + 1/2 with c = (7 - sqrt(7) i)/56."""
     if r < 0:
         raise ValueError("exponent must be nonnegative")
+    _check_bits(r, "exponent")
     z = _C_PREFIX * MU ** r
     return _integral(Fraction(1 << r, 4) + 2 * z.re + Fraction(1, 2),
                      "prefix zero count", r)

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ResourceLimitError, stern_table
+from .core import ResourceLimitError, _check_bits, stern_table
 
 DEFAULT_EXACT_CAP = 1 << 20
 
@@ -36,6 +36,7 @@ def row_sum(r: int) -> Fraction:
     """Sum of t(n) over row r (2^r <= n < 2^(r+1)): (3 * 2^r - 1) / 2."""
     if r < 0:
         raise ValueError("row exponent must be nonnegative")
+    _check_bits(r, "row exponent")
     return Fraction(3 * (1 << r) - 1, 2)
 
 
@@ -43,6 +44,7 @@ def prefix_row_sum(r: int) -> Fraction:
     """Sum of t(n) over n < 2^r: (3 * 2^r - r - 3) / 2."""
     if r < 0:
         raise ValueError("row exponent must be nonnegative")
+    _check_bits(r, "row exponent")
     return Fraction(3 * (1 << r) - r - 3, 2)
 
 

@@ -7,6 +7,8 @@ way around.
 from fractions import Fraction
 from functools import lru_cache
 
+from mpmath import mp
+
 
 @lru_cache(maxsize=None)
 def naive_stern(n):
@@ -177,3 +179,13 @@ def yun_squarefree_factors(f):
         d = _sub(c, _derivative(b))
         i += 1
     return out
+
+
+def polyroots(f, digits):
+    """Roots of the integer polynomial f (ascending) by mpmath's
+    Durand-Kerner `polyroots` at `digits` digits, with deg f plus the
+    coefficient bits as guard bits, since every root of the pair
+    matrix has modulus at most 2."""
+    guard = len(f) - 1 + max(abs(c) for c in f).bit_length()
+    with mp.workdps(digits):
+        return mp.polyroots(f[::-1], maxsteps=200, extraprec=guard)

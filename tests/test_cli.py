@@ -132,8 +132,39 @@ def test_exit_code_resource_limit():
             assert code == 3 and out == "" and "resource limit" in err
 
 
+def test_dist_honours_a_wider_matrix_cap():
+    argv = ("dist", "--d", "80", "--N", "100")
+    code, out, err = invoke(*argv)
+    assert code == 3 and out == "" and "resource limit" in err
+    wide = ("--max-matrix-order", "10000")
+    code, out, err = invoke(*argv, *wide)
+    assert (code, err) == (0, "")
+    assert invoke(*argv, *wide, "--method", "scan") == (0, out, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("index", str(2 ** 16 + 1), "1"),
+    ("minkowski", "1", str(2 ** 16 + 1)),
+    ("rowsum", str(2 ** 16 + 1)),
+    ("a3row", str(2 ** 16 + 1)),
+    ("t3zero", str(2 ** 16 + 1)),
+])
+def test_exit_code_bit_cap(argv):
+    code, out, err = invoke(*argv)
+    assert code == 3 and out == "" and "bit cap" in err
+
+
+def test_answers_past_4300_digits():
+    code, out, err = invoke("a3row", "20000")
+    assert (code, err) == (0, "")
+    assert out == f"{sternseq.a3_row_count(20000)}\n"
+    assert len(out) > 6000
+
+
 def test_exit_code_non_convergence(monkeypatch):
-    monkeypatch.setattr(sternseq.moddist, "_ROOT_STEPS", 1)
+    """Root seeds that never leave the circle they start on fail the
+    inclusion certificate: exit 4."""
+    monkeypatch.setattr(sternseq.moddist, "_SWEEPS", 0)
     with pytest.raises(sternseq.NonConvergenceError, match="degree"):
         sternseq.spectral(7)
     code, out, err = invoke("spectral", "--d", "7")

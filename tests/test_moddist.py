@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sternseq
-from oracles import dense_minimal_polynomial, yun_squarefree_factors
+from mpmath import mp
+from oracles import (dense_minimal_polynomial, polyroots,
+                     yun_squarefree_factors)
 from sternseq import (ResourceLimitError, adjacency, count_T, count_block,
                       density, dist_table, feasible_pairs, graph,
                       graph_export, index_I, left_step, minimal_polynomial,
@@ -183,6 +185,13 @@ def test_count_T_caps_and_validation():
         count_T(100, 3, 0, method="nope")
 
 
+def test_factoring_cap_rejects_before_trial_division():
+    for call in (lambda: index_I(2 ** 61 - 1),
+                 lambda: density(2 ** 61 - 1, 0)):
+        with pytest.raises(ResourceLimitError, match="factoring cap"):
+            call()
+
+
 def test_density_golden():
     assert density(3, 0) == Fraction(1, 4)
     assert density(3, 1) == Fraction(3, 8)
@@ -262,6 +271,13 @@ def test_minimal_polynomial_past_the_dense_range():
         assert len(f) - 1 == degree and f[-1] == 1
         assert sum(c * 2 ** k for k, c in enumerate(f)) == 0
         assert sum(k * c * 2 ** (k - 1) for k, c in enumerate(f) if k) != 0
+        if d in (17, 19, 20):  # certified roots
+            rep = spectral(d)
+            assert rep.minimal_poly == tuple(f)
+            assert sum(rv.multiplicity for rv in rep.roots) == degree
+            top = max(abs(rv.value) for rv in rep.roots if rv.value != 2)
+            assert abs(rep.rho - top) < 1e-12
+            assert 1 < rep.rho < 2 and rep.tau > 0.5
 
 
 def test_unit_scalings_act_freely():
@@ -396,6 +412,10 @@ def test_spectral_d5():
     rep = spectral(5)
     assert abs(rep.rho - math.sqrt(2)) < 1e-9
     assert rep.tau == 0.5
+    # certified on an axis: exactly zero imaginary or real parts
+    values = [rv.value for rv in rep.roots if not rv.exact]
+    assert sum(1 for z in values if z.imag == 0) == 2
+    assert [z for z in values if z.real == 0] == [-1j, 1j]
 
 
 @pytest.mark.parametrize("d,multiplicities", [
@@ -413,11 +433,67 @@ def test_spectral_repeated_factors(d, multiplicities):
 
 
 def test_spectral_d13_degree_60():
-    """Degree 60 needs guard bits beyond polyroots' default 10."""
+    """Degree 60, where polyroots needs guard bits beyond its default
+    10 (see test_certified_disks_hold_the_oracle_roots)."""
     rep = spectral(13)
     assert len(rep.minimal_poly) - 1 == 60
     assert rep.rho == spectral(9).rho
     assert all(rv.residual < 1e-20 for rv in rep.roots)
+
+
+@pytest.mark.parametrize("d", range(2, 14))
+def test_certified_disks_hold_the_oracle_roots(d):
+    """Each polyroots root of each Yun factor lies in exactly one
+    certified disk, widened by 10^-digits."""
+    q, _ = poly_divmod(minimal_polynomial(d), [-2, 1])
+    rest = q[next(k for k, c in enumerate(q) if c):]
+    for g, _ in squarefree_factors(rest):
+        disks = sternseq.moddist._certified_roots(g, 40)
+        assert len(disks) == len(g) - 1
+        with mp.workdps(60):
+            slack = mp.mpf(10) ** -40
+            assert all(r < slack for _, r in disks)
+            for root in polyroots(g, 40):
+                hits = [z for z, r in disks if abs(root - z) <= r + slack]
+                assert len(hits) == 1, (d, root)
+
+
+@pytest.mark.parametrize("f,points,digits", [
+    ([-2, 0, 1], (1.4142, -1.4142), 40),  # disjoint, radii near 1e-5
+    ([10100, -201, 1], (100.2, 100.8), 0),  # radii 0.53 < 1, overlapping
+])
+def test_root_certificate_rejects(f, points, digits, monkeypatch):
+    """Disks wider than 10^-digits, or disks that are not apart at three
+    times their radii, fail the certificate."""
+    def place(f, z, u):
+        z[:] = [type(z[0])(w) for w in points]
+
+    monkeypatch.setattr(sternseq.moddist, "_aberth", place)
+    with pytest.raises(sternseq.NonConvergenceError, match="disjoint"):
+        sternseq.moddist._certified_roots(f, digits)
+
+
+def test_root_certificate_survives_optimize():
+    """Under python -O, Aberth sweeps that leave coincident points still
+    fail the inclusion certificate with NonConvergenceError, never a
+    ZeroDivisionError or a report."""
+    src = (
+        "import sys\n"
+        "from sternseq import NonConvergenceError, moddist\n"
+        "def collapse(f, z, u):\n"
+        "    z[:] = [z[0]] * len(z)\n"
+        "moddist._aberth = collapse\n"
+        "try:\n"
+        "    moddist.spectral(7)\n"
+        "except NonConvergenceError as exc:\n"
+        "    print('raised', 'coincident' in str(exc))\n"
+        "print(sys.flags.optimize)\n")
+    src_dir = Path(sternseq.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src_dir)}
+    proc = subprocess.run([sys.executable, "-O", "-c", src], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["raised True", "1"]
 
 
 def test_graph_export_dot():
