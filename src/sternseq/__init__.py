@@ -7,23 +7,22 @@ the special structure modulo 2 and 3, and exact or compensated partial
 sums of the ratios.
 """
 
-from .core import (DEFAULT_ROW_CAP, BlockDecomposition,
-                   ResourceLimitError, SternPair, block_decompose,
-                   diatomic_row, stern, stern_block, stern_pair,
-                   stern_ratio, stern_table)
+from .core import (DEFAULT_DIGIT_CAP, DEFAULT_TABLE_CAP,
+                   BlockDecomposition, ResourceLimitError, SternPair,
+                   block_decompose, diatomic_row, stern, stern_block,
+                   stern_pair, stern_ratio, stern_table)
 from .enumeration import (CFrac, INFINITY, DyadicRational, brocot_row,
                           index_of_rational, minkowski_q,
                           rational_of_index, reverse_bits, to_odd_cfrac)
-from .moddist import (DEFAULT_MATRIX_CAP, DEFAULT_SCAN_CAP, DistTable,
-                      IntMatrix, IntPolynomial, NonConvergenceError,
-                      PairGraph, ResiduePair, RootValue,
-                      SpectralReport, adjacency, count_T, count_block,
-                      density, dist_table, feasible_pairs, graph,
-                      graph_export, index_I, left_step,
-                      minimal_polynomial, pair_counts, right_step,
-                      s_mod_pair, spectral, walk_counts)
-from .smalld import (MU, Sqrt7Complex, a3_enumerate, a3_member,
-                     a3_row_count, a3_row_count_closed, delta3,
+from .moddist import (DEFAULT_MATRIX_CAP, DistTable, IntMatrix,
+                      IntPolynomial, NonConvergenceError, PairGraph,
+                      ResiduePair, RootValue, SpectralReport, adjacency,
+                      count_T, count_block, density, dist_table,
+                      feasible_pairs, graph, graph_export, index_I,
+                      left_step, minimal_polynomial, pair_counts,
+                      right_step, s_mod_pair, spectral, walk_counts)
+from .smalld import (DEFAULT_ENUM_CAP, MU, Sqrt7Complex, a3_enumerate,
+                     a3_member, a3_row_count, a3_row_count_closed, delta3,
                      delta3_classify, delta3_trace, even_stern_index,
                      hyperbinary, t3_zero_closed)
 from .sums import (DEFAULT_EXACT_CAP, SumReport, alpha_estimate,

@@ -23,8 +23,7 @@ from .moddist import (DEFAULT_MATRIX_CAP, NonConvergenceError, _capped_graph,
                       spectral, walk_counts)
 from .smalld import (a3_enumerate, a3_row_count, delta3, delta3_trace,
                      hyperbinary, t3_zero_closed)
-from .sums import DEFAULT_EXACT_CAP, alpha_estimate, prefix_row_sum, \
-    row_sum, t_prefix_sum
+from .sums import alpha_estimate, prefix_row_sum, row_sum, t_prefix_sum
 
 FORMAT_VERSION = "1"
 
@@ -91,11 +90,9 @@ def _frac(x: Fraction) -> str:
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    common.add_argument("--max-row-bits", type=int, default=22)
-    common.add_argument("--max-matrix-order", type=int,
-                        default=DEFAULT_MATRIX_CAP)
-    common.add_argument("--max-exact-N", type=int, dest="max_exact_n",
-                        default=DEFAULT_EXACT_CAP)
+    # the one cap a caller sets, on the commands that build a pair graph
+    order = (("--max-matrix-order",), {"type": int,
+                                       "default": DEFAULT_MATRIX_CAP})
     p = _Parser(prog="sternseq", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -119,13 +116,13 @@ def build_parser() -> _Parser:
         (("--N",), {"type": int, "required": True}),
         (("--method",), {"choices": ("auto", "scan"),
                          "default": "auto"}),
-        (("--pairs",), {"action": "store_true"}))
+        (("--pairs",), {"action": "store_true"}), order)
     add("graph", (("--d",), {"type": int, "required": True}),
-        (("--dot",), {"action": "store_true"}))
-    add("minpoly", (("--d",), {"type": int, "required": True}))
-    add("spectral", (("--d",), {"type": int, "required": True}))
+        (("--dot",), {"action": "store_true"}), order)
+    add("minpoly", (("--d",), {"type": int, "required": True}), order)
+    add("spectral", (("--d",), {"type": int, "required": True}), order)
     add("walks", (("--d",), {"type": int, "required": True}),
-        (("--r",), {"type": int, "required": True}))
+        (("--r",), {"type": int, "required": True}), order)
     add("a3", (("--limit",), {"type": int, "required": True}))
     add("a3row", (("r",), {"type": int}))
     add("t3zero", (("r",), {"type": int}))
@@ -174,13 +171,13 @@ def _h_rational(a):
 
 
 def _h_row(a):
-    values = diatomic_row(a.r, a.a, a.b, max_entries=1 << a.max_row_bits)
+    values = diatomic_row(a.r, a.a, a.b)
     return ({"r": a.r, "a": str(a.a), "b": str(a.b)},
             {"values": [str(v) for v in values]}, [str(v) for v in values])
 
 
 def _h_brocot(a):
-    row = brocot_row(a.r, max_entries=1 << a.max_row_bits)
+    row = brocot_row(a.r)
     strs = [_frac(x) if x is not INFINITY else "1/0" for x in row]
     return {"r": a.r}, {"entries": strs}, strs
 
@@ -305,7 +302,7 @@ def _h_rowsum(a):
 
 def _h_sum(a):
     mode = "exact" if a.exact else "float"
-    rep = t_prefix_sum(a.N, mode=mode, exact_cap=a.max_exact_n)
+    rep = t_prefix_sum(a.N, mode=mode)
     payload = {"N": str(a.N), "mode": mode, "float_sum": rep.float_sum,
                "error_bound": rep.float_error_bound,
                "lower": _frac(rep.lower), "upper": _frac(rep.upper)}

@@ -13,7 +13,8 @@ generalises the row structure to arbitrary seed pairs.
 from fractions import Fraction
 from typing import NamedTuple
 
-DEFAULT_ROW_CAP = 1 << 22
+#: largest index of a table of s(n); every O(N) path builds one
+DEFAULT_TABLE_CAP = 1 << 22
 #: largest bit length of an integer built from a bit-length input
 DEFAULT_DIGIT_CAP = 1 << 16
 
@@ -78,10 +79,15 @@ def stern_table(limit: int, mod: int | None = None) -> list[int]:
     """s(0..limit) as a list, optionally reduced modulo `mod`.
 
     Filled bottom-up by the doubling recurrence; the workhorse behind
-    every large scan in the package.
+    every large scan in the package, and the one place their size is
+    checked: limit > DEFAULT_TABLE_CAP raises ResourceLimitError before
+    anything is allocated.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
+    if limit > DEFAULT_TABLE_CAP:
+        raise ResourceLimitError(f"table of s(n) to n = {limit} exceeds "
+                                 f"the table cap {DEFAULT_TABLE_CAP}")
     vals = [0] * (limit + 1)
     if limit >= 1:
         vals[1] = 1 if mod is None else 1 % mod
@@ -102,21 +108,18 @@ def stern_table(limit: int, mod: int | None = None) -> list[int]:
     return vals
 
 
-def diatomic_row(r: int, a: int, b: int,
-                 max_entries: int = DEFAULT_ROW_CAP) -> list[int]:
+def diatomic_row(r: int, a: int, b: int) -> list[int]:
     """Row r of the diatomic array with seed row (a, b).
 
     Entry k (0 <= k <= 2^r) equals s(2^r - k)*a + s(k)*b.  This closed
     form agrees with iterating the insertion rule (keep a row, insert
     the sum of each adjacent pair between them) r times, which tests
-    verify.
+    verify.  Rows up to r = 22 fit the table cap.
     """
     if r < 0:
         raise ValueError("row exponent must be nonnegative")
+    _check_bits(r, "row exponent")
     half = 1 << r
-    if half + 1 > max_entries:
-        raise ResourceLimitError(
-            f"row r={r} has {half + 1} entries, cap is {max_entries}")
     s = stern_table(half)
     return [s[half - k] * a + s[k] * b for k in range(half + 1)]
 

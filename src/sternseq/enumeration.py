@@ -12,8 +12,7 @@ the Minkowski question-mark function restricted to rationals.
 
 from fractions import Fraction
 
-from .core import (DEFAULT_ROW_CAP, ResourceLimitError, _check_bits,
-                   stern_pair, stern_table)
+from .core import _check_bits, stern_pair, stern_table
 
 
 class _Infinity:
@@ -155,18 +154,16 @@ def reverse_bits(n: int) -> int:
     return int(bin(n)[:1:-1], 2)
 
 
-def brocot_row(r: int, max_entries: int = DEFAULT_ROW_CAP):
+def brocot_row(r: int):
     """Row r of the Stern-Brocot array: s(k)/s(2^r - k) for k = 0..2^r.
 
     Entries strictly increase from 0/1 to the distinguished INFINITY
-    value at k = 2^r.
+    value at k = 2^r.  Rows up to r = 22 fit the table cap.
     """
     if r < 0:
         raise ValueError("row exponent must be nonnegative")
+    _check_bits(r, "row exponent")
     half = 1 << r
-    if half + 1 > max_entries:
-        raise ResourceLimitError(
-            f"row r={r} has {half + 1} entries, cap is {max_entries}")
     s = stern_table(half)
     row: list = [Fraction(s[k], s[half - k]) for k in range(half)]
     row.append(INFINITY)

@@ -29,12 +29,12 @@ from functools import lru_cache
 
 from mpmath import mp
 
-from .core import ResourceLimitError, stern_table
+from .core import (DEFAULT_TABLE_CAP, ResourceLimitError, _check_bits,
+                   stern_table)
 from .exactalg import (_KRYLOV_PRIME, _symmetric_lift, poly_divmod,
                        poly_eval, poly_gcd, squarefree_factors)
 
 DEFAULT_MATRIX_CAP = 4096
-DEFAULT_SCAN_CAP = 1 << 22
 _SEED_RADIUS = 1.6  # every root but 2 has modulus below 1.58 for d <= 24
 _SWEEPS = 100
 
@@ -54,10 +54,10 @@ def _check_modulus(d: int):
 
 @lru_cache(maxsize=64)
 def _prime_factors(d: int) -> tuple[int, ...]:
-    # trial division up to sqrt(d) <= DEFAULT_SCAN_CAP
-    if d > DEFAULT_SCAN_CAP ** 2:
+    # trial division up to sqrt(d) <= DEFAULT_TABLE_CAP
+    if d > DEFAULT_TABLE_CAP ** 2:
         raise ResourceLimitError(f"modulus {d} exceeds the factoring cap "
-                                 f"{DEFAULT_SCAN_CAP ** 2}")
+                                 f"{DEFAULT_TABLE_CAP ** 2}")
     out = []
     m = d
     p = 2
@@ -98,9 +98,9 @@ def pair_counts(d: int) -> tuple[int, list[int]]:
     d * prod_{p | gcd(i, d)} (p - 1)/p feasible partners.
     """
     _check_modulus(d)
-    if d > DEFAULT_SCAN_CAP:
+    if d > DEFAULT_TABLE_CAP:
         raise ResourceLimitError(f"modulus {d} exceeds the pair-count cap "
-                                 f"{DEFAULT_SCAN_CAP}")
+                                 f"{DEFAULT_TABLE_CAP}")
     rows = []
     for i in range(d):
         c = d
@@ -192,9 +192,11 @@ def adjacency(d: int, max_order: int = DEFAULT_MATRIX_CAP) -> IntMatrix:
 def walk_counts(d: int, r: int,
                 max_order: int = DEFAULT_MATRIX_CAP) -> IntMatrix:
     """Number of length-r walks between every vertex pair: the rows of
-    M^r, propagated (the dense `exactalg.mat_pow` is their oracle)."""
+    M^r, propagated (the dense `exactalg.mat_pow` is their oracle).
+    Entries reach 2^r, so r is bounded by the bit cap."""
     if r < 0:
         raise ValueError("walk length must be nonnegative")
+    _check_bits(r, "walk length")
     g = _capped_graph(d, max_order)
     return [_poly_row(g, v, [0] * r + [1]) for v in range(len(g.vertices))]
 
@@ -242,7 +244,7 @@ def _pair_census(N: int, d: int,
     return counts
 
 
-def _vertex_counts(N: int, d: int, method: str, scan_cap: int,
+def _vertex_counts(N: int, d: int, method: str,
                    max_order: int = DEFAULT_MATRIX_CAP) -> list[int]:
     # "auto" takes the census; "scan" is its O(N) oracle twin, a
     # histogram of consecutive pairs from the table of s mod d
@@ -250,9 +252,6 @@ def _vertex_counts(N: int, d: int, method: str, scan_cap: int,
         return _pair_census(N, d, max_order)
     if method != "scan":
         raise ValueError(f"unknown method {method!r}")
-    if N > scan_cap:
-        raise ResourceLimitError(
-            f"direct scan of {N} values exceeds cap {scan_cap}")
     g = _capped_graph(d, max_order)
     table = stern_table(N, mod=d)
     hist = Counter(zip(table, table[1:]))
@@ -271,22 +270,21 @@ def count_block(d: int, gamma: ResiduePair, U1: int, U2: int) -> int:
     return sum(1 for m in range(U1, U2) if s_mod_pair(m, d) == gamma)
 
 
-def count_T(N: int, d: int, i: int, method: str = "auto",
-            scan_cap: int = DEFAULT_SCAN_CAP) -> int:
+def count_T(N: int, d: int, i: int, method: str = "auto") -> int:
     """T(N; d, i) = #{ n < N : s(n) == i (mod d) }.
 
     Method "auto" sums the pair census over the pairs with first
     coordinate i (O(log N) vector steps); method "scan" counts pairs in
-    the table of s mod d directly (O(N)).  The two must agree bit for
-    bit.  Either raises ResourceLimitError when the pair graph mod d has
-    more than DEFAULT_MATRIX_CAP vertices.
+    the table of s mod d directly (O(N), N within the table cap).  The
+    two must agree bit for bit.  Either raises ResourceLimitError when
+    the pair graph mod d has more than DEFAULT_MATRIX_CAP vertices.
     """
     _check_modulus(d)
     if N < 0:
         raise ValueError("N must be nonnegative")
     if N == 0:
         return 0
-    per_vertex = _vertex_counts(N, d, method, scan_cap)
+    per_vertex = _vertex_counts(N, d, method)
     return sum(per_vertex[pos] for pos in graph(d).by_first[i % d])
 
 
@@ -336,7 +334,6 @@ class DistTable:
 
 def dist_table(N: int, d: int, method: str = "auto",
                include_pairs: bool = False,
-               scan_cap: int = DEFAULT_SCAN_CAP,
                max_order: int = DEFAULT_MATRIX_CAP) -> DistTable:
     """Residue distribution of s(n) mod d over n < N, projected from
     one pair census (see count_T for the methods); the pair graph may
@@ -344,7 +341,7 @@ def dist_table(N: int, d: int, method: str = "auto",
     _check_modulus(d)
     if N < 1:
         raise ValueError("N must be positive")
-    per_vertex = _vertex_counts(N, d, method, scan_cap, max_order)
+    per_vertex = _vertex_counts(N, d, method, max_order)
     g = graph(d)
     counts = tuple(sum(per_vertex[pos] for pos in group)
                    for group in g.by_first)

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .core import (DEFAULT_DIGIT_CAP, ResourceLimitError, _check_bits,
+from .core import (DEFAULT_TABLE_CAP, ResourceLimitError, _check_bits,
                    stern_table)
 from .moddist import _pair_census, graph, s_mod_pair
 
+#: largest limit of a3_enumerate, which holds members, not a table
 DEFAULT_ENUM_CAP = 1 << 24
 
 
@@ -100,18 +101,18 @@ def a3_member(n: int) -> bool:
                 n = (n + 7) // 8
 
 
-def a3_enumerate(limit: int, max_limit: int = DEFAULT_ENUM_CAP) -> list[int]:
+def a3_enumerate(limit: int) -> list[int]:
     """Sorted indices n < limit with 3 | s(n), grown as a closure.
 
     Seeds {0, 5, 7}; every positive member n spawns 2n and 8n +- 5,
     8n +- 7.  All children exceed their parent, so one worklist pass
-    below `limit` is complete.
+    below `limit` is complete.  limit is at most DEFAULT_ENUM_CAP.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    if limit > max_limit:
+    if limit > DEFAULT_ENUM_CAP:
         raise ResourceLimitError(
-            f"enumeration to {limit} exceeds cap {max_limit}")
+            f"enumeration to {limit} exceeds cap {DEFAULT_ENUM_CAP}")
     seen = {n for n in (0, 5, 7) if n < limit}
     work = [n for n in seen if n > 0]
     while work:
@@ -171,7 +172,7 @@ def _integral(total: Fraction, what: str, r: int) -> int:
 
 
 def delta3(N: int, method: str = "auto",
-           table_cap: int = 1 << 22) -> int:
+           table_cap: int = DEFAULT_TABLE_CAP) -> int:
     """Delta(N) = T(N; 3, 1) - T(N; 3, 2); always in {0, 1, 2, 3}.
 
     method "auto" projects the pair census mod 3 over [0, N) in
@@ -189,7 +190,7 @@ def delta3(N: int, method: str = "auto",
     return sum(census[pos] for pos in ones) - sum(census[pos] for pos in twos)
 
 
-def delta3_trace(N: int, table_cap: int = 1 << 22) -> list[int]:
+def delta3_trace(N: int, table_cap: int = DEFAULT_TABLE_CAP) -> list[int]:
     """[Delta(0), ..., Delta(N)] in one pass."""
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -219,20 +220,22 @@ def delta3_classify(m: int) -> tuple[int, int]:
     return (2, 1)
 
 
-def hyperbinary(d: int, n: int, max_bits: int = DEFAULT_DIGIT_CAP) -> int:
+def hyperbinary(d: int, n: int) -> int:
     """b(d; n): ways to write n = sum eps_i 2^i with digits 0..d-1.
 
     Values reachable from n at depth k lie in [(n >> k) - d + 1, n >> k]
     and the children (m - e) / 2 of m are contiguous, so one pass up the
-    bits with prefix sums costs O(bits * d).  b(3; n) = s(n + 1).
+    bits with prefix sums costs O(bits * d).  b(3; n) = s(n + 1).  The
+    bits of n are bounded by the bit cap and the window by the table cap.
     """
     if d < 2:
         raise ValueError("digit bound must be at least 2")
     if n < 0:
         raise ValueError("target must be nonnegative")
-    if n.bit_length() > max_bits:
-        raise ResourceLimitError(
-            f"target has {n.bit_length()} bits, cap is {max_bits}")
+    _check_bits(n.bit_length(), "target bit length")
+    if min(d, n + 1) > DEFAULT_TABLE_CAP:
+        raise ResourceLimitError(f"window of {min(d, n + 1)} values exceeds "
+                                 f"the table cap {DEFAULT_TABLE_CAP}")
     lo, vals = 0, [1]  # b over the window at depth bit_length(n): {0}
     for k in range(n.bit_length() - 1, -1, -1):
         prefix = list(accumulate(vals, initial=0))

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .core import ResourceLimitError, _check_bits, stern_table
 
+#: largest N of an exact prefix sum; float mode takes the table cap
 DEFAULT_EXACT_CAP = 1 << 20
 
 
@@ -78,21 +79,20 @@ def _pairwise_fraction_sum(terms) -> Fraction:
     return items[0]
 
 
-def t_prefix_sum(N: int, mode: str = "exact",
-                 exact_cap: int = DEFAULT_EXACT_CAP) -> SumReport:
+def t_prefix_sum(N: int, mode: str = "exact") -> SumReport:
     """Sum of t(n) over n < N, exact and/or compensated float.
 
-    mode "exact" computes the exact Fraction (subject to the cap) and
-    the float alongside; mode "float" skips the exact value, so any N
-    within table memory works.
+    mode "exact" computes the exact Fraction (N <= DEFAULT_EXACT_CAP)
+    and the float alongside; mode "float" skips the exact value, so any
+    N within the table cap works.
     """
     if N < 1:
         raise ValueError("N must be positive")
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact" and N > exact_cap:
+    if mode == "exact" and N > DEFAULT_EXACT_CAP:
         raise ResourceLimitError(
-            f"exact sum of {N} terms exceeds cap {exact_cap}; "
+            f"exact sum of {N} terms exceeds cap {DEFAULT_EXACT_CAP}; "
             "use mode='float'")
     table = stern_table(N)
     float_sum = _ratio_fsum(table, N, 1)
@@ -109,7 +109,8 @@ def alpha_estimate(t: int, N: int) -> float:
     """Empirical mean of s(n)/s(n+t) over n < N.
 
     Proven limit 3/2 for t = 1; other lags are conjectural, so treat
-    the value as an experimental estimate.
+    the value as an experimental estimate.  N - 1 + t is bounded by the
+    table cap.
     """
     if t < 1:
         raise ValueError("lag must be at least 1")

@@ -1,8 +1,10 @@
 """Command-line front end: golden outputs, envelopes, exit codes."""
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,10 +119,10 @@ def test_exit_code_domain_error():
 
 
 def test_exit_code_resource_limit():
-    code, _, err = invoke("row", "25")
-    assert code == 3 and "resource limit" in err
-    code, _, err = invoke("row", "12", "--max-row-bits", "10")
-    assert code == 3
+    # row r needs s(2^r); the table cap admits r = 22 and no further
+    for r in ("23", "25"):
+        code, out, err = invoke("row", r)
+        assert code == 3 and out == "" and "resource limit" in err
     for dot in ((), ("--dot",)):
         code, out, err = invoke("graph", "--d", "100",
                                 "--max-matrix-order", "10", *dot)
@@ -140,6 +142,54 @@ def test_dist_honours_a_wider_matrix_cap():
     code, out, err = invoke(*argv, *wide)
     assert (code, err) == (0, "")
     assert invoke(*argv, *wide, "--method", "scan") == (0, out, "")
+
+
+# one command just past each cap; each must raise before it allocates
+PAST_A_CAP = [
+    ("row", "23", "0", "1"),
+    ("brocot", "23"),
+    ("sum", "--N", "4194305"),
+    ("sum", "--N", "1048577", "--exact"),
+    ("alpha", "--t", "1", "--N", "4194305"),
+    ("delta3", "--N", "4194305", "--trace"),
+    ("dist", "--d", "3", "--N", "4194305", "--method", "scan"),
+    ("a3", "--limit", "16777217"),
+    ("hyperbinary", "--d", "8388608", "--n", "8388608"),
+    ("walks", "--d", "2", "--r", "65537"),
+]
+
+
+@pytest.mark.parametrize("argv", PAST_A_CAP)
+def test_exit_code_past_each_cap(argv):
+    code, out, err = invoke(*argv)
+    assert code == 3 and out == "" and "resource limit" in err
+
+
+def test_caps_survive_optimize():
+    """The caps are `if ... raise`, so python -O keeps them."""
+    src_dir = Path(sternseq.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src_dir)}
+    proc = subprocess.run([sys.executable, "-O", "-m", "sternseq",
+                           *PAST_A_CAP[0]], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "resource limit" in proc.stderr
+
+
+def test_option_surface():
+    """The row and exact-sum caps are constants, not flags, and only
+    the commands that build a pair graph take --max-matrix-order."""
+    for argv in (("row", "3", "--max-row-bits", "10"),
+                 ("sum", "--N", "8", "--max-exact-N", "4"),
+                 ("stern", "5", "--max-matrix-order", "3")):
+        code, out, err = invoke(*argv)
+        assert code == 1 and out == "" and "usage error" in err
+    # the pair graph mod 3 has 8 vertices
+    for argv in (("dist", "--d", "3", "--N", "5"), ("graph", "--d", "3"),
+                 ("minpoly", "--d", "3"), ("spectral", "--d", "3"),
+                 ("walks", "--d", "3", "--r", "2")):
+        code, out, err = invoke(*argv, "--max-matrix-order", "7")
+        assert code == 3 and out == "" and "resource limit" in err
 
 
 @pytest.mark.parametrize("argv", [

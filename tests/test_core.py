@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import insertion_row, naive_stern
-from sternseq import (ResourceLimitError, SternPair, block_decompose,
+import sternseq
+from sternseq import (DEFAULT_DIGIT_CAP, DEFAULT_TABLE_CAP,
+                      ResourceLimitError, SternPair, block_decompose,
                       diatomic_row, stern, stern_block, stern_pair,
                       stern_ratio, stern_table)
 
@@ -88,12 +90,19 @@ def test_row_golden():
     assert len(diatomic_row(10, 0, 1)) == (1 << 10) + 1
 
 
-def test_row_cap():
+def test_row_cap(monkeypatch):
+    """Rows inherit the table cap of stern_table, which bounds the
+    largest index: row r needs s(2^r), so r = 22 is the last that fits."""
+    for r in (23, 25, DEFAULT_DIGIT_CAP + 1):
+        with pytest.raises(ResourceLimitError):
+            diatomic_row(r, 0, 1)
+    with pytest.raises(ResourceLimitError, match="table cap"):
+        stern_table(DEFAULT_TABLE_CAP + 1)
+    # the same boundary at a small cap, where the fitting row is cheap
+    monkeypatch.setattr(sternseq.core, "DEFAULT_TABLE_CAP", 1 << 12)
+    assert len(diatomic_row(12, 0, 1)) == (1 << 12) + 1
     with pytest.raises(ResourceLimitError):
-        diatomic_row(25, 0, 1)
-    with pytest.raises(ResourceLimitError):
-        diatomic_row(12, 0, 1, max_entries=1 << 10)
-    assert diatomic_row(12, 0, 1, max_entries=(1 << 12) + 1)
+        diatomic_row(13, 0, 1)
 
 
 @given(st.integers(min_value=0, max_value=12),

@@ -14,11 +14,12 @@ import sternseq
 from mpmath import mp
 from oracles import (dense_minimal_polynomial, polyroots,
                      yun_squarefree_factors)
-from sternseq import (ResourceLimitError, adjacency, count_T, count_block,
-                      density, dist_table, feasible_pairs, graph,
-                      graph_export, index_I, left_step, minimal_polynomial,
-                      pair_counts, right_step, s_mod_pair, spectral, stern,
-                      stern_pair, stern_table, walk_counts)
+from sternseq import (DEFAULT_DIGIT_CAP, ResourceLimitError, adjacency,
+                      count_T, count_block, density, dist_table,
+                      feasible_pairs, graph, graph_export, index_I,
+                      left_step, minimal_polynomial, pair_counts,
+                      right_step, s_mod_pair, spectral, stern, stern_pair,
+                      stern_table, walk_counts)
 from sternseq.exactalg import (mat_is_zero, mat_mul, mat_pow, poly_divmod,
                                poly_eval_matrix, squarefree_factors)
 
@@ -136,6 +137,17 @@ def test_walk_counts_identity_and_composition():
         assert walk_counts(d, 7) == mat_pow(adjacency(d), 7)
 
 
+def test_walk_length_cap(monkeypatch):
+    """Entries of M^r reach 2^r, so r takes the bit cap, checked before
+    the graph or the coefficient list is built."""
+    def unreachable(d, max_order):
+        raise AssertionError("graph built past the cap")
+
+    monkeypatch.setattr(sternseq.moddist, "_capped_graph", unreachable)
+    with pytest.raises(ResourceLimitError, match="walk length"):
+        walk_counts(2, DEFAULT_DIGIT_CAP + 1)
+
+
 def test_walk_counts_against_block_scan():
     """Walk counts of length r out of S_d(m) census block m exactly."""
     for d in (2, 3, 4, 5):
@@ -175,8 +187,11 @@ def test_count_strategies_are_bit_identical():
 
 
 def test_count_T_caps_and_validation():
-    with pytest.raises(ResourceLimitError):
-        count_T(1 << 12, 3, 0, method="scan", scan_cap=1 << 10)
+    # the scan twin builds a table of s mod d, so it takes the table cap
+    with pytest.raises(ResourceLimitError, match="table cap"):
+        count_T((1 << 22) + 1, 3, 0, method="scan")
+    with pytest.raises(ResourceLimitError, match="table cap"):
+        dist_table((1 << 22) + 1, 3, method="scan")
     for method in ("auto", "scan"):  # 10^12 pairs: rejected unbuilt
         with pytest.raises(ResourceLimitError):
             count_T(8, 10**6, 0, method=method)

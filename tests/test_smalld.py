@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import sternseq
 from oracles import count_digit_strings, naive_stern, product_coefficients
-from sternseq import (MU, ResourceLimitError, Sqrt7Complex, a3_enumerate,
+from sternseq import (DEFAULT_DIGIT_CAP, DEFAULT_TABLE_CAP, MU,
+                      ResourceLimitError, Sqrt7Complex, a3_enumerate,
                       a3_member, a3_row_count, a3_row_count_closed, count_T,
                       delta3, delta3_classify, delta3_trace, even_stern_index,
                       hyperbinary, stern, t3_zero_closed)
@@ -196,8 +197,13 @@ def test_hyperbinary_monotone_in_digit_bound():
 
 
 def test_hyperbinary_cap():
-    with pytest.raises(ResourceLimitError):
-        hyperbinary(3, 1 << 40, max_bits=20)
+    """The target's bits take the bit cap, its window of min(d, n + 1)
+    values the table cap; a wide d with a small n stays cheap."""
+    with pytest.raises(ResourceLimitError, match="bit cap"):
+        hyperbinary(3, 1 << DEFAULT_DIGIT_CAP)
+    with pytest.raises(ResourceLimitError, match="table cap"):
+        hyperbinary(DEFAULT_TABLE_CAP + 1, DEFAULT_TABLE_CAP)
+    assert hyperbinary(DEFAULT_TABLE_CAP + 1, 5) == hyperbinary(6, 5)
 
 
 def test_generating_product_matches_sequence():

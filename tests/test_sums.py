@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sternseq import (ResourceLimitError, SumReport, alpha_estimate,
+from sternseq import (DEFAULT_EXACT_CAP, DEFAULT_TABLE_CAP,
+                      ResourceLimitError, SumReport, alpha_estimate,
                       prefix_row_sum, row_sum, stern_ratio, t_prefix_sum,
                       theorem_bounds)
 from sternseq.sums import _pairwise_fraction_sum
@@ -80,9 +81,16 @@ def test_float_mode_only():
 
 
 def test_exact_cap():
+    """Just past DEFAULT_EXACT_CAP only float mode runs; past the table
+    cap neither does, and alpha_estimate shares that cap."""
+    N = DEFAULT_EXACT_CAP + 1
     with pytest.raises(ResourceLimitError):
-        t_prefix_sum(1 << 12, exact_cap=1 << 10)
-    assert t_prefix_sum(1 << 12, mode="float", exact_cap=1 << 10)
+        t_prefix_sum(N)
+    assert t_prefix_sum(N, mode="float").exact_sum is None
+    with pytest.raises(ResourceLimitError, match="table cap"):
+        t_prefix_sum(DEFAULT_TABLE_CAP + 1, mode="float")
+    with pytest.raises(ResourceLimitError, match="table cap"):
+        alpha_estimate(2, DEFAULT_TABLE_CAP)
 
 
 def test_mode_validation():
