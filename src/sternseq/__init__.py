@@ -7,7 +7,7 @@ the special structure modulo 2 and 3, and exact or compensated partial
 sums of the ratios.
 """
 
-from .core import (DEFAULT_DIGIT_CAP, DEFAULT_TABLE_CAP,
+from .core import (DEFAULT_DIGIT_CAP, DEFAULT_TABLE_CAP, DEFAULT_WORK_CAP,
                    BlockDecomposition, ResourceLimitError, SternPair,
                    block_decompose, diatomic_row, stern, stern_block,
                    stern_pair, stern_ratio, stern_table)

@@ -17,6 +17,8 @@ from typing import NamedTuple
 DEFAULT_TABLE_CAP = 1 << 22
 #: largest bit length of an integer built from a bit-length input
 DEFAULT_DIGIT_CAP = 1 << 16
+#: largest work of a loop sized by two inputs, in steps of about 1 us
+DEFAULT_WORK_CAP = 1 << 22
 
 
 class ResourceLimitError(Exception):
@@ -28,6 +30,19 @@ def _check_bits(bits: int, what: str):
     if bits > DEFAULT_DIGIT_CAP:
         raise ResourceLimitError(f"{what} {bits} exceeds the bit cap "
                                  f"{DEFAULT_DIGIT_CAP}")
+
+
+def _check_work(steps: int, bits: int, what: str):
+    """Raise ResourceLimitError when `steps` loop steps, each adding
+    integers of up to `bits` bits, exceed DEFAULT_WORK_CAP.
+
+    On CPython 3.11 a step costs about as much interpreter time as
+    adding 8192 bits more, so it counts 1 + bits // 8192.
+    """
+    work = steps * (1 + bits // 8192)
+    if work > DEFAULT_WORK_CAP:
+        raise ResourceLimitError(f"{what} take {work} steps, over the "
+                                 f"work cap {DEFAULT_WORK_CAP}")
 
 
 class SternPair(NamedTuple):

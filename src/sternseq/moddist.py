@@ -27,20 +27,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import mp
-
 from .core import (DEFAULT_TABLE_CAP, ResourceLimitError, _check_bits,
-                   stern_table)
+                   _check_work, stern_table)
 from .exactalg import (_KRYLOV_PRIME, _symmetric_lift, poly_divmod,
                        poly_eval, poly_gcd, squarefree_factors)
 
 DEFAULT_MATRIX_CAP = 4096
-_SEED_RADIUS = 1.6  # every root but 2 has modulus below 1.58 for d <= 24
+# every root but 2 has modulus below 1.58 for d <= 28 and d = 30;
+# rho(29) is about 1.5822
+_SEED_RADIUS = 1.6
 _SWEEPS = 100
 
 ResiduePair = tuple[int, int]
 IntMatrix = list[list[int]]
 IntPolynomial = list[int]
+
+
+class _RootHooks:
+    """Stand-ins for the multiprecision `polyroots` and `polyval` that
+    `benchmark/tracing.py` wraps on `moddist.mp`; nothing calls them."""
+
+    polyroots = polyval = None
+
+
+mp = _RootHooks()
 
 
 class NonConvergenceError(Exception):
@@ -193,11 +203,13 @@ def walk_counts(d: int, r: int,
                 max_order: int = DEFAULT_MATRIX_CAP) -> IntMatrix:
     """Number of length-r walks between every vertex pair: the rows of
     M^r, propagated (the dense `exactalg.mat_pow` is their oracle).
-    Entries reach 2^r, so r is bounded by the bit cap."""
+    Entries reach 2^r, so r is bounded by the bit cap, and the
+    N_d^2 (r + 1) additions of r-bit entries by the work cap."""
     if r < 0:
         raise ValueError("walk length must be nonnegative")
     _check_bits(r, "walk length")
     g = _capped_graph(d, max_order)
+    _check_work(len(g.vertices) ** 2 * (r + 1), r, "walk counts")
     return [_poly_row(g, v, [0] * r + [1]) for v in range(len(g.vertices))]
 
 
@@ -398,7 +410,8 @@ class RootValue:
     """One root of the minimal polynomial.
 
     exact roots (0 and 2) are split off by exact division and carry a
-    zero residual; numeric roots report |f(z)| at the refined value.
+    zero residual; numeric roots report |f(z)| at the certified centre
+    plus the error bound of its evaluation.
     """
 
     value: complex
@@ -421,8 +434,7 @@ class SpectralReport:
 def _horner(f, z, u):
     # f(z), f'(z) and the running error bound u (2 mu - |f(z)|) on the
     # computed f(z), for unit roundoff u (Higham, Accuracy and
-    # Stability of Numerical Algorithms, Alg. 5.1); z is a complex or
-    # an mpc
+    # Stability of Numerical Algorithms, Alg. 5.1); z is a complex
     p, dp, az = f[-1] + 0 * z, 0 * z, abs(z)
     mu = abs(p) / 2
     for c in reversed(f[:-1]):
@@ -454,21 +466,88 @@ def _aberth(f, z: list, u):
         moving = still
 
 
-def _certified_roots(f: IntPolynomial, digits: int) -> list:
-    """[(root, radius), ...] of a squarefree integer f of degree n >= 1.
+def _fixed_horner(f: IntPolynomial, a: int, b: int, S: int):
+    """f(z) at z = (a + bi) / 2^S as (re, im, err) in units of 2^-S:
+    |f(z) - (re + im i) 2^-S| <= err 2^-S.
 
-    Float Aberth seeds from a circle are polished by the same sweeps
-    on mpc values, at a precision sized from the seeds.  With
-    W_i = f(z_i) / prod_{j != i} (z_i - z_j), the disks D(z_i, n |W_i|)
-    cover the roots, and a set of k disks apart from the rest holds k
-    roots (Carstensen, Numer. Math. 59, 1991); |f(z_i)| is bounded with
-    its evaluation error.  The disks must have radius below 10^-digits
-    and stay apart at three times their radii, else
-    NonConvergenceError.  The roots are closed under conjugation, and
-    under z -> -z when f(-z) = +-f(z); a disk that meets the axis of
-    such a mirror holds a root whose image lies within three radii of
-    the centre, so in no other disk, so in the same one: that root is
-    on the axis, and gets an exactly zero imaginary or real part.
+    Each step after the first, which is exact, multiplies by z exactly
+    and floors both parts, adding less than sqrt 2 units to an error
+    that z scales.  e runs that bound (Higham, Alg. 5.1, in fixed
+    point) in sixteenths of a unit with |z| 2^S rounded up to zb:
+    sqrt 2 < 23/16, and one more for flooring e zb / 2^S.
+    """
+    if len(f) == 1:
+        return f[0] << S, 0, 0
+    zb = math.isqrt(a * a + b * b) + 1
+    re, im, e = f[-1] * a + (f[-2] << S), f[-1] * b, 0
+    for c in reversed(f[:-2]):
+        re, im = ((re * a - im * b) >> S) + (c << S), (re * b + im * a) >> S
+        e = (e * zb >> S) + 24
+    return re, im, (e + 15) >> 4
+
+
+def _units(x: float, S: int) -> int:
+    # floor(x 2^S), exactly
+    num, den = x.as_integer_ratio()
+    return (num << S) // den
+
+
+def _polish(f: IntPolynomial, z: list, S: int):
+    # the sweeps of _aberth on Gaussian integers z in units of 2^-S, in
+    # place: f and f' from _fixed_horner, the sum over the other points
+    # in floats, whose error enters a step only times |f / f'|^2, so
+    # the sweeps still converge at least quadratically.  A point also
+    # stops after a step of at most one unit in each part, since the
+    # grid may hold no point where |f| is within its error bound
+    fp = [k * c for k, c in enumerate(f)][1:]
+    one = 1 << S
+    near = [complex(a / one, b / one) for a, b in z]
+    moving = range(len(z))
+    for _ in range(_SWEEPS):
+        still = []
+        for i in moving:
+            a, b = z[i]
+            re, im, err = _fixed_horner(f, a, b, S)
+            diffs = [near[i] - w for j, w in enumerate(near) if j != i]
+            if re * re + im * im <= err * err or not all(diffs):
+                continue
+            s = sum(1 / w for w in diffs)
+            sr, si = _units(s.real, S), _units(s.imag, S)
+            dre, dim, _ = _fixed_horner(fp, a, b, S)
+            # z - f / (f' - f s), every value in units of 2^-S
+            xr = dre - ((re * sr - im * si) >> S)
+            xi = dim - ((re * si + im * sr) >> S)
+            q = xr * xr + xi * xi
+            if q:
+                da = ((re * xr + im * xi) << S) // q
+                db = ((im * xr - re * xi) << S) // q
+                z[i] = a - da, b - db
+                near[i] = complex((a - da) / one, (b - db) / one)
+                if abs(da) > 1 or abs(db) > 1:
+                    still.append(i)
+        if not still:
+            return
+        moving = still
+
+
+def _certified_roots(f: IntPolynomial, digits: int) -> tuple[int, list]:
+    """(S, [(a, b, r), ...]) for a squarefree integer f of degree n >= 1:
+    disks with centre (a + bi) / 2^S and radius r / 2^S, one per root.
+
+    Float Aberth seeds from a circle are polished by the same sweeps on
+    Gaussian integers in units of 2^-S, with S sized from the seeds.
+    With W_i = f(z_i) / prod_{j != i} (z_i - z_j), the disks
+    D(z_i, n |W_i|) cover the roots, and a set of k disks apart from
+    the rest holds k roots (Carstensen, Numer. Math. 59, 1991).  r is
+    an integer upper bound on n |W_i| 2^S, from |f(z_i)| with its error
+    bound and a product of the |z_i - z_j|^2 rounded down.  The disks
+    must have radius below 10^-digits and stay apart at three times
+    their radii, else NonConvergenceError; every test is in integers.
+    The roots are closed under conjugation, and under z -> -z when
+    f(-z) = +-f(z); a disk that meets the axis of such a mirror holds a
+    root whose image lies within three radii of the centre, so in no
+    other disk, so in the same one: that root is on the axis, and its
+    centre gets an exactly zero imaginary or real part.
     """
     n = len(f) - 1
     z = [_SEED_RADIUS * cmath.exp(2j * math.pi * (k + 0.25) / n)
@@ -476,42 +555,74 @@ def _certified_roots(f: IntPolynomial, digits: int) -> list:
     # complex products round to within sqrt(2) gamma_2 (Higham, 3.6),
     # so 2 eps = 4u covers them
     _aberth(f, z, 2 * sys.float_info.epsilon)
-    # a polished radius is about 2 n u B / |f'| with B = 2 mu - |f|
-    # and u = 2^(1 - prec): below n kappa 2^(2 - prec), kappa the
-    # largest B / |f'| at the seeds; two more bits cover kappa moving
+    # S as for a float polish at u = 2^(1 - S), where a polished radius
+    # is about 2 n u B / |f'| with B = 2 mu - |f|: below n kappa
+    # 2^(2 - S), kappa the largest B / |f'| at the seeds; two more bits
+    # cover kappa moving.  The bound of _fixed_horner has no factor of
+    # the coefficients, and was below B u / 2 at every root for d <= 30
     kappa = max((b / abs(dp) for _, dp, b in (_horner(f, w, 1.0) for w in z)
                  if dp), default=1.0)
-    if not math.isfinite(kappa):
+    if not (math.isfinite(kappa) and all(map(cmath.isfinite, z))):
         raise NonConvergenceError(
             f"root seeds of a degree-{n} factor diverged")
-    prec = math.ceil(digits * math.log2(10) + math.log2(n * kappa)) + 4
+    S = math.ceil(digits * math.log2(10) + math.log2(n * kappa)) + 4
+    z = [(_units(w.real, S), _units(w.imag, S)) for w in z]
+    _polish(f, z, S)
+    radii = []
+    for i, (a, b) in enumerate(z):
+        re, im, err = _fixed_horner(f, a, b, S)
+        # prod_{j != i} |z_i - z_j|^2 2^(2S) >= m 2^e, flooring each
+        # product to 64 bits
+        m, e = 1, 0
+        for j, (c, d) in enumerate(z):
+            if j != i:
+                m *= (a - c) ** 2 + (b - d) ** 2
+                k = max(0, m.bit_length() - 64)
+                m >>= k
+                e += k
+        if not m:
+            raise NonConvergenceError(
+                f"root refinement of a degree-{n} factor ended on "
+                "coincident points")
+        # (r 2^-S)^2 <= (n (|f| + err) 2^-S)^2 2^(2S(n-1)) / (m 2^e)
+        num = (n * (math.isqrt(re * re + im * im) + 1 + err)) ** 2
+        shift = 2 * S * (n - 1) - e
+        num, den = (num << shift, m) if shift >= 0 else (num, m << -shift)
+        radii.append(math.isqrt(-(-num // den)) + 1)
     mirrored = not any(f[n - 1::-2])  # f(-z) = +-f(z)
     out = []
-    with mp.workprec(prec):
-        z = [mp.mpc(w) for w in z]
-        _aberth(f, z, mp.eps)
-        radii = []
-        for i, zi in enumerate(z):
-            p, _, err = _horner(f, zi, mp.eps)
-            gap = mp.fprod(zi - zj for j, zj in enumerate(z) if j != i)
-            if not gap:
-                raise NonConvergenceError(
-                    f"root refinement of a degree-{n} factor ended on "
-                    "coincident points")
-            radii.append(n * (abs(p) + err) / abs(gap))
-        limit = mp.mpf(10) ** -digits
-        for i, (zi, r) in enumerate(zip(z, radii)):
-            if not (r < limit and all(abs(zi - z[j]) > 3 * (r + radii[j])
-                                      for j in range(i))):
-                raise NonConvergenceError(
-                    f"root inclusion disks of a degree-{n} factor are not "
-                    f"disjoint with radius below 1e-{digits}")
-            if abs(zi.imag) <= r:
-                zi = mp.mpc(zi.real, 0)
-            elif mirrored and abs(zi.real) <= r:
-                zi = mp.mpc(0, zi.imag)
-            out.append((zi, r))
-    return out
+    for i, ((a, b), r) in enumerate(zip(z, radii)):
+        if not (r * 10 ** digits < 1 << S and all(
+                (a - c) ** 2 + (b - d) ** 2 > 9 * (r + radii[j]) ** 2
+                for j, (c, d) in enumerate(z[:i]))):
+            raise NonConvergenceError(
+                f"root inclusion disks of a degree-{n} factor are not "
+                f"disjoint with radius below 1e-{digits}")
+        if abs(b) <= r:
+            b = 0
+        elif mirrored and abs(a) <= r:
+            a = 0
+        out.append((a, b, r))
+    return S, out
+
+
+def _log2(x: Fraction, bits: int) -> Fraction:
+    # log2 of a dyadic x > 0 to within 2^(1 - bits): the integer part e
+    # from the bit lengths, then one bit per squaring of x / 2^e in
+    # [1, 2), in fixed point with 4 guard bits
+    num = x.numerator
+    e = num.bit_length() - x.denominator.bit_length()
+    prec = bits + 4
+    shift = prec + 1 - num.bit_length()
+    y = num << shift if shift >= 0 else num >> -shift
+    frac = 0
+    for _ in range(bits):
+        y = y * y >> prec
+        frac <<= 1
+        if y >> prec + 1:
+            y >>= 1
+            frac |= 1
+    return e + Fraction(frac, 1 << bits)
 
 
 def spectral(d: int, max_order: int = DEFAULT_MATRIX_CAP,
@@ -524,10 +635,12 @@ def spectral(d: int, max_order: int = DEFAULT_MATRIX_CAP,
     under z -> -z, so that pure imaginary roots are recognised; the
     roots of h and g / h come with disjoint inclusion disks of radius
     below 10^-digits (see _certified_roots; NonConvergenceError when
-    the certificate fails).  rho is the largest modulus among the roots
-    other than 2, sigma + 1 the largest multiplicity among the roots
-    whose modulus interval [|z| - r, |z| + r] meets rho's, and
-    tau = max(0, log2 rho) the decay exponent.
+    the certificate fails).  Each residual is |mu_M(z)| at the centre
+    plus the error bound of its fixed-point evaluation.  rho is the
+    largest modulus among the roots other than 2, sigma + 1 the largest
+    multiplicity among the roots whose modulus interval
+    [|z| - r, |z| + r] meets rho's, and tau = max(0, log2 rho) the
+    decay exponent, from integer bit extraction.
     """
     f = minimal_polynomial(d, max_order=max_order)
     q, f_at_2 = poly_divmod(f, [-2, 1])
@@ -537,11 +650,13 @@ def spectral(d: int, max_order: int = DEFAULT_MATRIX_CAP,
     zero_mult = next(k for k, c in enumerate(q) if c)
     rest = q[zero_mult:]
     roots = [RootValue(complex(2, 0), 1, 0.0, True)]
-    moduli = []  # (modulus, radius, multiplicity) of every root but 2
+    # (|z| rounded down, radius plus that rounding, multiplicity) of
+    # every root but 2
+    moduli = []
     if zero_mult:
         roots.append(RootValue(complex(0, 0), zero_mult, 0.0, True))
-        moduli.append((mp.zero, 0, zero_mult))
-    desc_f = list(reversed(f))
+        moduli.append((0, 0, zero_mult))
+    deg = len(f) - 1
     for factor, mult in squarefree_factors(rest):
         n = len(factor) - 1
         even = poly_gcd(factor, [-c if (n - k) % 2 else c
@@ -549,23 +664,26 @@ def spectral(d: int, max_order: int = DEFAULT_MATRIX_CAP,
         for part in (even, poly_divmod(factor, even)[0]):
             if len(part) == 1:
                 continue
-            for z, r in _certified_roots(part, digits):
-                with mp.workdps(2 * digits):
-                    res = abs(mp.polyval(desc_f, z))
-                    moduli.append((abs(z), r, mult))
-                roots.append(RootValue(complex(float(z.real),
-                                               float(z.imag)),
-                                       mult, float(res), False))
+            S, disks = _certified_roots(part, digits)
+            one = 1 << S
+            for a, b, r in disks:
+                # deg more bits keep the error bound, which grows like
+                # sum |z|^k with |z| < 2, below 2^(1 - S)
+                re, im, err = _fixed_horner(f, a << deg, b << deg, S + deg)
+                res = (math.isqrt(re * re + im * im) + 1 + err) / (one << deg)
+                moduli.append((Fraction(math.isqrt(a * a + b * b), one),
+                               Fraction(r + 1, one), mult))
+                roots.append(RootValue(complex(a / one, b / one), mult, res,
+                                       False))
     roots.sort(key=lambda rv: (rv.value.real, rv.value.imag))
-    top, top_r, _ = max(moduli, default=(mp.zero, 0, 1))
+    top, top_r, _ = max(moduli, default=(0, 0, 1))
     mult = max((k for m, r, k in moduli if m + r >= top - top_r), default=1)
     tau = 0.0
     if top > 1:
-        with mp.workdps(digits):
-            # round log2 at half the working digits before the one
-            # rounding to float, which makes tau = 1/2 at d = 3 exact
-            scale = mp.mpf(10) ** (digits // 2)
-            tau = float(mp.nint(mp.log(top, 2) * scale) / scale)
+        # round log2 at half the working digits before the one
+        # rounding to float, which makes tau = 1/2 at d = 3 exact
+        log2_top = _log2(top, math.ceil(digits * math.log2(10)))
+        tau = float(round(log2_top, digits // 2))
     return SpectralReport(d, tuple(f), float(top), mult - 1, mult, tau,
                           tuple(roots))
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .core import (DEFAULT_TABLE_CAP, ResourceLimitError, _check_bits,
-                   stern_table)
+                   _check_work, stern_table)
 from .moddist import _pair_census, graph, s_mod_pair
 
 #: largest limit of a3_enumerate, which holds members, not a table
@@ -226,18 +226,22 @@ def hyperbinary(d: int, n: int) -> int:
     Values reachable from n at depth k lie in [(n >> k) - d + 1, n >> k]
     and the children (m - e) / 2 of m are contiguous, so one pass up the
     bits with prefix sums costs O(bits * d).  b(3; n) = s(n + 1).  The
-    bits of n are bounded by the bit cap and the window by the table cap.
+    bits of n are bounded by the bit cap, the window by the table cap,
+    and the bits * window additions of values of at most d^bits by the
+    work cap.
     """
     if d < 2:
         raise ValueError("digit bound must be at least 2")
     if n < 0:
         raise ValueError("target must be nonnegative")
-    _check_bits(n.bit_length(), "target bit length")
+    bits = n.bit_length()
+    _check_bits(bits, "target bit length")
     if min(d, n + 1) > DEFAULT_TABLE_CAP:
         raise ResourceLimitError(f"window of {min(d, n + 1)} values exceeds "
                                  f"the table cap {DEFAULT_TABLE_CAP}")
+    _check_work(bits * min(d, n + 1), bits * d.bit_length(), "digit counts")
     lo, vals = 0, [1]  # b over the window at depth bit_length(n): {0}
-    for k in range(n.bit_length() - 1, -1, -1):
+    for k in range(bits - 1, -1, -1):
         prefix = list(accumulate(vals, initial=0))
         top = n >> k
         lo_k = max(0, top - d + 1)

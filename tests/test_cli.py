@@ -156,6 +156,8 @@ PAST_A_CAP = [
     ("a3", "--limit", "16777217"),
     ("hyperbinary", "--d", "8388608", "--n", "8388608"),
     ("walks", "--d", "2", "--r", "65537"),
+    ("walks", "--d", "9", "--r", "4000"),
+    ("hyperbinary", "--d", "4194304", "--n", str(2 ** 40)),
 ]
 
 
@@ -209,6 +211,21 @@ def test_answers_past_4300_digits():
     assert (code, err) == (0, "")
     assert out == f"{sternseq.a3_row_count(20000)}\n"
     assert len(out) > 6000
+
+
+def test_spectral_leaves_mpmath_unimported():
+    """The command line and the certified spectrum run without mpmath,
+    whose import would cost every process its start-up time."""
+    src = ("import sys\n"
+           "import sternseq.cli\n"
+           "sternseq.moddist.spectral(7)\n"
+           "print('mpmath' in sys.modules)\n")
+    src_dir = Path(sternseq.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src_dir)}
+    proc = subprocess.run([sys.executable, "-c", src], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_exit_code_non_convergence(monkeypatch):

@@ -463,13 +463,15 @@ def test_certified_disks_hold_the_oracle_roots(d):
     q, _ = poly_divmod(minimal_polynomial(d), [-2, 1])
     rest = q[next(k for k, c in enumerate(q) if c):]
     for g, _ in squarefree_factors(rest):
-        disks = sternseq.moddist._certified_roots(g, 40)
+        S, disks = sternseq.moddist._certified_roots(g, 40)
         assert len(disks) == len(g) - 1
-        with mp.workdps(60):
+        assert all(r * 10 ** 40 < 2 ** S for _, _, r in disks)
+        with mp.workprec(S + 64):
             slack = mp.mpf(10) ** -40
-            assert all(r < slack for _, r in disks)
+            centres = [(mp.mpc(a, b) / 2 ** S, mp.mpf(r) / 2 ** S)
+                       for a, b, r in disks]
             for root in polyroots(g, 40):
-                hits = [z for z, r in disks if abs(root - z) <= r + slack]
+                hits = [z for z, r in centres if abs(root - z) <= r + slack]
                 assert len(hits) == 1, (d, root)
 
 
@@ -480,24 +482,24 @@ def test_certified_disks_hold_the_oracle_roots(d):
 def test_root_certificate_rejects(f, points, digits, monkeypatch):
     """Disks wider than 10^-digits, or disks that are not apart at three
     times their radii, fail the certificate."""
-    def place(f, z, u):
-        z[:] = [type(z[0])(w) for w in points]
+    def place(f, z, S):
+        z[:] = [(math.floor(w * 2 ** S), 0) for w in points]
 
-    monkeypatch.setattr(sternseq.moddist, "_aberth", place)
+    monkeypatch.setattr(sternseq.moddist, "_polish", place)
     with pytest.raises(sternseq.NonConvergenceError, match="disjoint"):
         sternseq.moddist._certified_roots(f, digits)
 
 
 def test_root_certificate_survives_optimize():
-    """Under python -O, Aberth sweeps that leave coincident points still
+    """Under python -O, polish sweeps that leave coincident points still
     fail the inclusion certificate with NonConvergenceError, never a
     ZeroDivisionError or a report."""
     src = (
         "import sys\n"
         "from sternseq import NonConvergenceError, moddist\n"
-        "def collapse(f, z, u):\n"
+        "def collapse(f, z, S):\n"
         "    z[:] = [z[0]] * len(z)\n"
-        "moddist._aberth = collapse\n"
+        "moddist._polish = collapse\n"
         "try:\n"
         "    moddist.spectral(7)\n"
         "except NonConvergenceError as exc:\n"
@@ -509,6 +511,47 @@ def test_root_certificate_survives_optimize():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["raised True", "1"]
+
+
+def _exact_horner(f, a, b, S):
+    # f((a + bi) / 2^S) as exact (real, imaginary) Fractions
+    zr, zi = Fraction(a, 2 ** S), Fraction(b, 2 ** S)
+    re, im = Fraction(0), Fraction(0)
+    for c in reversed(f):
+        re, im = re * zr - im * zi + c, re * zi + im * zr
+    return re, im
+
+
+# (S, a, b) with |(a + bi) / 2^S| <= 2
+dyadic_points = st.sampled_from([1, 3, 8, 24, 53, 100, 160]).flatmap(
+    lambda S: st.tuples(st.just(S), st.integers(-2 << S, 2 << S),
+                        st.integers(-2 << S, 2 << S))).filter(
+    lambda p: p[1] ** 2 + p[2] ** 2 <= 1 << 2 * p[0] + 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=-(1 << 20) + 1,
+                            max_value=(1 << 20) - 1),
+                min_size=1, max_size=41),
+       dyadic_points)
+def test_fixed_horner_within_its_bound(f, point):
+    """f(z) and f'(z) from the fixed-point Horner lie within its error
+    bound of the exact values."""
+    S, a, b = point
+    fp = [k * c for k, c in enumerate(f)][1:] or [0]
+    for g in (f, fp):
+        re, im, err = sternseq.moddist._fixed_horner(g, a, b, S)
+        ex, ey = _exact_horner(g, a, b, S)
+        dx, dy = Fraction(re, 2 ** S) - ex, Fraction(im, 2 ** S) - ey
+        assert dx * dx + dy * dy <= Fraction(err, 2 ** S) ** 2
+
+
+@given(st.integers(min_value=0, max_value=64).flatmap(
+    lambda k: st.builds(Fraction, st.integers(1 << k, 4 << k),
+                        st.just(1 << k))))
+def test_integer_log2(x):
+    """log2 by bit extraction agrees with math.log2 on dyadics in [1, 4]."""
+    assert abs(float(sternseq.moddist._log2(x, 60)) - math.log2(x)) < 1e-15
 
 
 def test_graph_export_dot():
