@@ -13,7 +13,6 @@ import math
 import sys
 from fractions import Fraction
 
-from . import checks
 from .core import (DEFAULT_DIGIT_CAP, ResourceLimitError, diatomic_row,
                    stern, stern_pair, stern_ratio)
 from .enumeration import (INFINITY, brocot_row, index_of_rational,
@@ -114,8 +113,6 @@ def build_parser() -> _Parser:
     add("minkowski", (("p",), {"type": int}), (("q",), {"type": int}))
     add("dist", (("--d",), {"type": int, "required": True}),
         (("--N",), {"type": int, "required": True}),
-        (("--method",), {"choices": ("auto", "scan"),
-                         "default": "auto"}),
         (("--pairs",), {"action": "store_true"}), order)
     add("graph", (("--d",), {"type": int, "required": True}),
         (("--dot",), {"action": "store_true"}), order)
@@ -190,11 +187,10 @@ def _h_minkowski(a):
 
 
 def _h_dist(a):
-    t = dist_table(a.N, a.d, method=a.method, include_pairs=a.pairs,
+    t = dist_table(a.N, a.d, include_pairs=a.pairs,
                    max_order=a.max_matrix_order)
     dev = t.deviations()
-    payload = {"d": a.d, "N": str(a.N), "method": a.method,
-               "counts": [str(c) for c in t.counts],
+    payload = {"d": a.d, "N": str(a.N), "counts": [str(c) for c in t.counts],
                "densities": [_frac(x) for x in t.densities],
                "deviations": dev, "index_I": str(index_I(a.d))}
     lines = ["# residue\tcount\tdensity\tabs_deviation"]
@@ -207,7 +203,7 @@ def _h_dist(a):
                                   for (i, j), c in t.pair_counts.items()}
         for (i, j), c in t.pair_counts.items():
             lines.append(f"pair\t{i},{j}\t{c}")
-    return {"d": a.d, "N": str(a.N), "method": a.method}, payload, lines
+    return {"d": a.d, "N": str(a.N)}, payload, lines
 
 
 def _h_graph(a):
@@ -322,7 +318,9 @@ def _h_alpha(a):
 
 
 def _h_verify(a):
-    results = checks.run_suite(a.suite)
+    # imported here: no other command should pay the suites' start-up
+    from .checks import run_suite
+    results = run_suite(a.suite)
     passed = sum(1 for _, ok, _ in results if ok)
     failed = len(results) - passed
     payload = {"suite": a.suite, "passed": passed, "failed": failed,

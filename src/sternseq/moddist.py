@@ -22,13 +22,12 @@ import cmath
 import math
 import random
 import sys
-from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import (DEFAULT_TABLE_CAP, ResourceLimitError, _check_bits,
-                   _check_work, stern_table)
+                   _check_work)
 from .exactalg import (_KRYLOV_PRIME, _symmetric_lift, poly_divmod,
                        poly_eval, poly_gcd, squarefree_factors)
 
@@ -144,8 +143,7 @@ def s_mod_pair(n: int, d: int) -> ResiduePair:
     return (a, b)
 
 
-@dataclass(frozen=True)
-class PairGraph:
+class PairGraph(NamedTuple):
     """The feasible-pair digraph with its L and R edge maps.
 
     vertices are in lexicographic order; left/right give successor
@@ -256,20 +254,6 @@ def _pair_census(N: int, d: int,
     return counts
 
 
-def _vertex_counts(N: int, d: int, method: str,
-                   max_order: int = DEFAULT_MATRIX_CAP) -> list[int]:
-    # "auto" takes the census; "scan" is its O(N) oracle twin, a
-    # histogram of consecutive pairs from the table of s mod d
-    if method == "auto":
-        return _pair_census(N, d, max_order)
-    if method != "scan":
-        raise ValueError(f"unknown method {method!r}")
-    g = _capped_graph(d, max_order)
-    table = stern_table(N, mod=d)
-    hist = Counter(zip(table, table[1:]))
-    return [hist[v] for v in g.vertices]
-
-
 def count_block(d: int, gamma: ResiduePair, U1: int, U2: int) -> int:
     """Occurrences of the pair gamma among S_d(n), U1 <= n < U2.
 
@@ -282,21 +266,18 @@ def count_block(d: int, gamma: ResiduePair, U1: int, U2: int) -> int:
     return sum(1 for m in range(U1, U2) if s_mod_pair(m, d) == gamma)
 
 
-def count_T(N: int, d: int, i: int, method: str = "auto") -> int:
-    """T(N; d, i) = #{ n < N : s(n) == i (mod d) }.
-
-    Method "auto" sums the pair census over the pairs with first
-    coordinate i (O(log N) vector steps); method "scan" counts pairs in
-    the table of s mod d directly (O(N), N within the table cap).  The
-    two must agree bit for bit.  Either raises ResourceLimitError when
-    the pair graph mod d has more than DEFAULT_MATRIX_CAP vertices.
+def count_T(N: int, d: int, i: int) -> int:
+    """T(N; d, i) = #{ n < N : s(n) == i (mod d) }, the pair census
+    summed over the pairs with first coordinate i (O(log N) vector
+    steps).  Raises ResourceLimitError when the pair graph mod d has
+    more than DEFAULT_MATRIX_CAP vertices.
     """
     _check_modulus(d)
     if N < 0:
         raise ValueError("N must be nonnegative")
     if N == 0:
         return 0
-    per_vertex = _vertex_counts(N, d, method)
+    per_vertex = _pair_census(N, d)
     return sum(per_vertex[pos] for pos in graph(d).by_first[i % d])
 
 
@@ -325,8 +306,7 @@ def index_I(d: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class DistTable:
+class DistTable(NamedTuple):
     """Counts T(N; d, i) for all residues, with exact densities.
 
     pair_counts, when present, holds occurrence counts of each feasible
@@ -344,16 +324,15 @@ class DistTable:
                 for c, den in zip(self.counts, self.densities)]
 
 
-def dist_table(N: int, d: int, method: str = "auto",
-               include_pairs: bool = False,
+def dist_table(N: int, d: int, include_pairs: bool = False,
                max_order: int = DEFAULT_MATRIX_CAP) -> DistTable:
     """Residue distribution of s(n) mod d over n < N, projected from
-    one pair census (see count_T for the methods); the pair graph may
-    have at most max_order vertices."""
+    one pair census; the pair graph may have at most max_order
+    vertices."""
     _check_modulus(d)
     if N < 1:
         raise ValueError("N must be positive")
-    per_vertex = _vertex_counts(N, d, method, max_order)
+    per_vertex = _pair_census(N, d, max_order)
     g = graph(d)
     counts = tuple(sum(per_vertex[pos] for pos in group)
                    for group in g.by_first)
@@ -405,8 +384,7 @@ def minimal_polynomial(d: int,
     return f
 
 
-@dataclass(frozen=True)
-class RootValue:
+class RootValue(NamedTuple):
     """One root of the minimal polynomial.
 
     exact roots (0 and 2) are split off by exact division and carry a
@@ -420,8 +398,7 @@ class RootValue:
     exact: bool
 
 
-@dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(NamedTuple):
     d: int
     minimal_poly: tuple[int, ...]
     rho: float
@@ -536,18 +513,19 @@ def _certified_roots(f: IntPolynomial, digits: int) -> tuple[int, list]:
 
     Float Aberth seeds from a circle are polished by the same sweeps on
     Gaussian integers in units of 2^-S, with S sized from the seeds.
-    With W_i = f(z_i) / prod_{j != i} (z_i - z_j), the disks
-    D(z_i, n |W_i|) cover the roots, and a set of k disks apart from
-    the rest holds k roots (Carstensen, Numer. Math. 59, 1991).  r is
-    an integer upper bound on n |W_i| 2^S, from |f(z_i)| with its error
-    bound and a product of the |z_i - z_j|^2 rounded down.  The disks
-    must have radius below 10^-digits and stay apart at three times
-    their radii, else NonConvergenceError; every test is in integers.
-    The roots are closed under conjugation, and under z -> -z when
-    f(-z) = +-f(z); a disk that meets the axis of such a mirror holds a
-    root whose image lies within three radii of the centre, so in no
-    other disk, so in the same one: that root is on the axis, and its
-    centre gets an exactly zero imaginary or real part.
+    Since |f'/f(z)| = |sum_k 1 / (z - z_k)| <= n / min_k |z - z_k|, the
+    disk D(z_i, n |f(z_i) / f'(z_i)|) holds a root, and n disjoint such
+    disks hold one root each.  r is an integer upper bound on that
+    radius times 2^S, from |f(z_i)| and |f'(z_i)| with their error
+    bounds; NonConvergenceError when the bound on |f'(z_i)| is not
+    positive.  The disks must have radius below 10^-digits and stay
+    apart at three times their radii, else NonConvergenceError; every
+    test is in integers.  The roots are closed under conjugation, and
+    under z -> -z when f(-z) = +-f(z); a disk that meets the axis of
+    such a mirror holds a root whose image lies within three radii of
+    the centre, so in no other disk, so in the same one: that root is
+    on the axis, and its centre gets an exactly zero imaginary or real
+    part.
     """
     n = len(f) - 1
     z = [_SEED_RADIUS * cmath.exp(2j * math.pi * (k + 0.25) / n)
@@ -568,27 +546,19 @@ def _certified_roots(f: IntPolynomial, digits: int) -> tuple[int, list]:
     S = math.ceil(digits * math.log2(10) + math.log2(n * kappa)) + 4
     z = [(_units(w.real, S), _units(w.imag, S)) for w in z]
     _polish(f, z, S)
+    fp = [k * c for k, c in enumerate(f)][1:]
     radii = []
-    for i, (a, b) in enumerate(z):
+    for a, b in z:
         re, im, err = _fixed_horner(f, a, b, S)
-        # prod_{j != i} |z_i - z_j|^2 2^(2S) >= m 2^e, flooring each
-        # product to 64 bits
-        m, e = 1, 0
-        for j, (c, d) in enumerate(z):
-            if j != i:
-                m *= (a - c) ** 2 + (b - d) ** 2
-                k = max(0, m.bit_length() - 64)
-                m >>= k
-                e += k
-        if not m:
+        dre, dim, derr = _fixed_horner(fp, a, b, S)
+        # |f| and |f'| in units of 2^-S, rounded up and down
+        num = n * (math.isqrt(re * re + im * im) + 1 + err) << S
+        den = math.isqrt(dre * dre + dim * dim) - derr
+        if den <= 0:
             raise NonConvergenceError(
-                f"root refinement of a degree-{n} factor ended on "
-                "coincident points")
-        # (r 2^-S)^2 <= (n (|f| + err) 2^-S)^2 2^(2S(n-1)) / (m 2^e)
-        num = (n * (math.isqrt(re * re + im * im) + 1 + err)) ** 2
-        shift = 2 * S * (n - 1) - e
-        num, den = (num << shift, m) if shift >= 0 else (num, m << -shift)
-        radii.append(math.isqrt(-(-num // den)) + 1)
+                f"root refinement of a degree-{n} factor ended where f' "
+                "may vanish")
+        radii.append(-(-num // den) + 1)
     mirrored = not any(f[n - 1::-2])  # f(-z) = +-f(z)
     out = []
     for i, ((a, b), r) in enumerate(zip(z, radii)):

@@ -9,7 +9,6 @@ hyperbinary representation counts b(d; n) (binary with digits up to
 d - 1) tie back to the sequence through s(n) = b(3; n - 1).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -21,7 +20,6 @@ from .moddist import _pair_census, graph, s_mod_pair
 DEFAULT_ENUM_CAP = 1 << 24
 
 
-@dataclass(frozen=True)
 class Sqrt7Complex:
     """Exact x + y*sqrt(7)*i with rational x, y.
 
@@ -30,8 +28,22 @@ class Sqrt7Complex:
     floating point.
     """
 
-    re: Fraction
-    im7: Fraction
+    __slots__ = ("re", "im7")
+
+    def __init__(self, re: Fraction, im7: Fraction):
+        self.re = re
+        self.im7 = im7
+
+    def __eq__(self, other):
+        if isinstance(other, Sqrt7Complex):
+            return (self.re, self.im7) == (other.re, other.im7)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.re, self.im7))
+
+    def __repr__(self):
+        return f"Sqrt7Complex({self.re!r}, {self.im7!r})"
 
     def __add__(self, other):
         return Sqrt7Complex(self.re + other.re, self.im7 + other.im7)

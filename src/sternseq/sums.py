@@ -11,8 +11,8 @@ estimates are labeled empirical.
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import ResourceLimitError, _check_bits, stern_table
 
@@ -20,8 +20,7 @@ from .core import ResourceLimitError, _check_bits, stern_table
 DEFAULT_EXACT_CAP = 1 << 20
 
 
-@dataclass(frozen=True)
-class SumReport:
+class SumReport(NamedTuple):
     """Prefix-sum summary: exact value (when computed), compensated
     float value with its error bound, and the proven enclosure."""
 

@@ -4,6 +4,7 @@ Everything here prefers the most literal reading of a definition over
 speed.  The package is checked against these oracles, never the other
 way around.
 """
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,6 +35,24 @@ def insertion_row(r, a, b):
         nxt.append(row[-1])
         row = nxt
     return row
+
+
+def pair_histogram(N, d):
+    """Occurrences of each pair (s(n) mod d, s(n+1) mod d) over n < N,
+    read off a table of s grown by the two-case recurrence: the O(N)
+    scan twin of the pair census."""
+    s = [0, 1]
+    for n in range(2, N + 1):
+        s.append(s[n // 2] if n % 2 == 0 else s[n // 2] + s[n // 2 + 1])
+    return Counter((s[n] % d, s[n + 1] % d) for n in range(N))
+
+
+def residue_counts(N, d):
+    """T(N; d, i) for every residue i, from the pair histogram."""
+    counts = [0] * d
+    for (i, _), c in pair_histogram(N, d).items():
+        counts[i] += c
+    return counts
 
 
 def cfrac_value(quotients):

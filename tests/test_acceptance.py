@@ -122,8 +122,8 @@ def test_criterion_05_exact_structures(capsys):
 def test_criterion_06_distribution_convergence(capsys):
     with criterion(6, 60.0, capsys):
         for d in (3, 5):
-            near = max(dist_table(1 << 10, d, method="auto").deviations())
-            far = max(dist_table(1 << 18, d, method="auto").deviations())
+            near = max(dist_table(1 << 10, d).deviations())
+            far = max(dist_table(1 << 18, d).deviations())
             assert far < near
             assert far < 0.01
 
@@ -131,8 +131,7 @@ def test_criterion_06_distribution_convergence(capsys):
 def test_criterion_07_d3_closed_forms(capsys):
     with criterion(7, 60.0, capsys):
         for r in range(21):
-            assert t3_zero_closed(r) == count_T(1 << r, 3, 0,
-                                                method="auto")
+            assert t3_zero_closed(r) == count_T(1 << r, 3, 0)
         for r in range(41):
             assert a3_row_count(r) == a3_row_count_closed(r)
         tab = stern_table(1 << 17, mod=3)

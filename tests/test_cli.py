@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import sternseq
+from oracles import residue_counts
 from sternseq.cli import OPERATION_COVERAGE, _HANDLERS, run
 
 
@@ -138,10 +139,10 @@ def test_dist_honours_a_wider_matrix_cap():
     argv = ("dist", "--d", "80", "--N", "100")
     code, out, err = invoke(*argv)
     assert code == 3 and out == "" and "resource limit" in err
-    wide = ("--max-matrix-order", "10000")
-    code, out, err = invoke(*argv, *wide)
+    code, out, err = invoke(*argv, "--max-matrix-order", "10000")
     assert (code, err) == (0, "")
-    assert invoke(*argv, *wide, "--method", "scan") == (0, out, "")
+    rows = [line.split("\t") for line in out.splitlines()[1:81]]
+    assert [int(c) for _, c, _, _ in rows] == residue_counts(100, 80)
 
 
 # one command just past each cap; each must raise before it allocates
@@ -152,7 +153,6 @@ PAST_A_CAP = [
     ("sum", "--N", "1048577", "--exact"),
     ("alpha", "--t", "1", "--N", "4194305"),
     ("delta3", "--N", "4194305", "--trace"),
-    ("dist", "--d", "3", "--N", "4194305", "--method", "scan"),
     ("a3", "--limit", "16777217"),
     ("hyperbinary", "--d", "8388608", "--n", "8388608"),
     ("walks", "--d", "2", "--r", "65537"),
@@ -179,11 +179,13 @@ def test_caps_survive_optimize():
 
 
 def test_option_surface():
-    """The row and exact-sum caps are constants, not flags, and only
-    the commands that build a pair graph take --max-matrix-order."""
+    """The row and exact-sum caps are constants, not flags, dist has no
+    count method to pick, and only the commands that build a pair graph
+    take --max-matrix-order."""
     for argv in (("row", "3", "--max-row-bits", "10"),
                  ("sum", "--N", "8", "--max-exact-N", "4"),
-                 ("stern", "5", "--max-matrix-order", "3")):
+                 ("stern", "5", "--max-matrix-order", "3"),
+                 ("dist", "--d", "3", "--N", "5", "--method", "scan")):
         code, out, err = invoke(*argv)
         assert code == 1 and out == "" and "usage error" in err
     # the pair graph mod 3 has 8 vertices
@@ -289,3 +291,21 @@ def test_console_script_target():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == "1\t3\n"
+
+
+def test_cli_import_leaves_dataclasses_and_checks_unimported():
+    """Importing the command line adds neither dataclasses nor inspect
+    to a bare interpreter, and the verify suites load only for verify:
+    each would cost every process its start-up time."""
+    src = ("import sys\n"
+           "names = ('dataclasses', 'inspect', 'sternseq.checks')\n"
+           "before = {m for m in names if m in sys.modules}\n"
+           "import sternseq.cli\n"
+           "print(sorted(m for m in names if m in sys.modules) == "
+           "sorted(before))\n")
+    src_dir = Path(sternseq.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src_dir)}
+    proc = subprocess.run([sys.executable, "-c", src], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"

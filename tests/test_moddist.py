@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import sternseq
 from mpmath import mp
-from oracles import (dense_minimal_polynomial, polyroots,
-                     yun_squarefree_factors)
+from oracles import (dense_minimal_polynomial, pair_histogram, polyroots,
+                     residue_counts, yun_squarefree_factors)
 from sternseq import (DEFAULT_DIGIT_CAP, ResourceLimitError, adjacency,
                       count_T, count_block, density, dist_table,
                       feasible_pairs, graph, graph_export, index_I,
@@ -180,24 +180,13 @@ def test_count_strategies_are_bit_identical():
         N = rng.randint(1, 1 << 14)
         d = rng.choice([2, 3, 4, 5, 7, 9])
         i = rng.randrange(d)
-        a = count_T(N, d, i, method="scan")
-        b = count_T(N, d, i, method="auto")
-        assert a == b
-        assert count_T(N, d, i) == a
+        assert count_T(N, d, i) == residue_counts(N, d)[i]
 
 
 def test_count_T_caps_and_validation():
-    # the scan twin builds a table of s mod d, so it takes the table cap
-    with pytest.raises(ResourceLimitError, match="table cap"):
-        count_T((1 << 22) + 1, 3, 0, method="scan")
-    with pytest.raises(ResourceLimitError, match="table cap"):
-        dist_table((1 << 22) + 1, 3, method="scan")
-    for method in ("auto", "scan"):  # 10^12 pairs: rejected unbuilt
-        with pytest.raises(ResourceLimitError):
-            count_T(8, 10**6, 0, method=method)
+    with pytest.raises(ResourceLimitError):  # 10^12 pairs: rejected unbuilt
+        count_T(8, 10**6, 0)
     assert count_T(100, 3, 5) == count_T(100, 3, 2)  # residue is reduced
-    with pytest.raises(ValueError):
-        count_T(100, 3, 0, method="nope")
 
 
 def test_factoring_cap_rejects_before_trial_division():
@@ -230,7 +219,7 @@ def test_dist_table_counts_and_deviations():
     assert dt.counts[0] == count_T(1 << 12, 3, 0)
     assert sum(dt.pair_counts.values()) == 1 << 12
     assert max(dt.deviations()) < 0.02
-    far = dist_table(1 << 18, 3, method="auto")
+    far = dist_table(1 << 18, 3)
     assert max(far.deviations()) < max(dt.deviations())
 
 
@@ -239,11 +228,10 @@ def test_dist_table_counts_and_deviations():
        st.integers(min_value=0, max_value=29))
 def test_census_projections_match_scan_twin(d, N, i):
     census = dist_table(N, d, include_pairs=True)
-    scan = dist_table(N, d, method="scan", include_pairs=True)
-    assert census.counts == scan.counts
-    assert census.pair_counts == scan.pair_counts
-    assert count_T(N, d, i) == count_T(N, d, i, method="scan") \
-        == census.counts[i % d]
+    hist = pair_histogram(N, d)
+    assert {v: c for v, c in census.pair_counts.items() if c} == hist
+    assert list(census.counts) == residue_counts(N, d)
+    assert count_T(N, d, i) == census.counts[i % d]
 
 
 def test_census_far_past_the_scan_cap():
@@ -258,9 +246,7 @@ def test_census_far_past_the_scan_cap():
 
 def test_dist_table_methods_agree():
     for N in (1, 37, 4096, 12345):
-        a = dist_table(N, 5, method="scan")
-        b = dist_table(N, 5, method="auto")
-        assert a.counts == b.counts
+        assert list(dist_table(N, 5).counts) == residue_counts(N, 5)
 
 
 def test_minimal_polynomial_golden():
@@ -490,11 +476,20 @@ def test_root_certificate_rejects(f, points, digits, monkeypatch):
         sternseq.moddist._certified_roots(f, digits)
 
 
+def _run_optimized(src):
+    src_dir = Path(sternseq.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src_dir)}
+    proc = subprocess.run([sys.executable, "-O", "-c", src], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 def test_root_certificate_survives_optimize():
     """Under python -O, polish sweeps that leave coincident points still
-    fail the inclusion certificate with NonConvergenceError, never a
-    ZeroDivisionError or a report."""
-    src = (
+    fail the disjointness test of the certificate with
+    NonConvergenceError, never a ZeroDivisionError or a report."""
+    assert _run_optimized(
         "import sys\n"
         "from sternseq import NonConvergenceError, moddist\n"
         "def collapse(f, z, S):\n"
@@ -503,14 +498,25 @@ def test_root_certificate_survives_optimize():
         "try:\n"
         "    moddist.spectral(7)\n"
         "except NonConvergenceError as exc:\n"
-        "    print('raised', 'coincident' in str(exc))\n"
-        "print(sys.flags.optimize)\n")
-    src_dir = Path(sternseq.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src_dir)}
-    proc = subprocess.run([sys.executable, "-O", "-c", src], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["raised True", "1"]
+        "    print('raised', 'disjoint' in str(exc))\n"
+        "print(sys.flags.optimize)\n") == ["raised True", "1"]
+
+
+def test_root_certificate_derivative_guard_survives_optimize():
+    """Under python -O, a point where f' may vanish (both points of
+    z^2 - 2 at 0) fails the certificate before its radius is divided
+    out, with NonConvergenceError."""
+    assert _run_optimized(
+        "import sys\n"
+        "from sternseq import NonConvergenceError, moddist\n"
+        "def to_zero(f, z, S):\n"
+        "    z[:] = [(0, 0)] * len(z)\n"
+        "moddist._polish = to_zero\n"
+        "try:\n"
+        "    moddist._certified_roots([-2, 0, 1], 20)\n"
+        "except NonConvergenceError as exc:\n"
+        "    print('raised', \"f'\" in str(exc))\n"
+        "print(sys.flags.optimize)\n") == ["raised True", "1"]
 
 
 def _exact_horner(f, a, b, S):

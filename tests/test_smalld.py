@@ -86,7 +86,7 @@ def test_t3_zero_closed_matches_count(table16_mod3):
     for r in range(15):
         assert t3_zero_closed(r) == table16_mod3[:1 << r].count(0)
     for r in range(15, 21):
-        assert t3_zero_closed(r) == count_T(1 << r, 3, 0, method="auto")
+        assert t3_zero_closed(r) == count_T(1 << r, 3, 0)
 
 
 def test_delta3_definition_and_methods():
