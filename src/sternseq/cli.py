@@ -168,9 +168,9 @@ def _h_rational(a):
 
 
 def _h_row(a):
-    values = diatomic_row(a.r, a.a, a.b)
+    values = [str(v) for v in diatomic_row(a.r, a.a, a.b)]
     return ({"r": a.r, "a": str(a.a), "b": str(a.b)},
-            {"values": [str(v) for v in values]}, [str(v) for v in values])
+            {"values": values}, values)
 
 
 def _h_brocot(a):
@@ -190,19 +190,19 @@ def _h_dist(a):
     t = dist_table(a.N, a.d, include_pairs=a.pairs,
                    max_order=a.max_matrix_order)
     dev = t.deviations()
-    payload = {"d": a.d, "N": str(a.N), "counts": [str(c) for c in t.counts],
-               "densities": [_frac(x) for x in t.densities],
-               "deviations": dev, "index_I": str(index_I(a.d))}
+    counts = [str(c) for c in t.counts]
+    dens = [_frac(x) for x in t.densities]
+    index = str(index_I(a.d))
+    payload = {"d": a.d, "N": str(a.N), "counts": counts,
+               "densities": dens, "deviations": dev, "index_I": index}
     lines = ["# residue\tcount\tdensity\tabs_deviation"]
     for i in range(a.d):
-        lines.append(f"{i}\t{t.counts[i]}\t{_frac(t.densities[i])}"
-                     f"\t{dev[i]!r}")
-    lines.append(f"# index_I\t{index_I(a.d)}")
+        lines.append(f"{i}\t{counts[i]}\t{dens[i]}\t{dev[i]!r}")
+    lines.append(f"# index_I\t{index}")
     if t.pair_counts is not None:
-        payload["pair_counts"] = {f"{i},{j}": str(c)
-                                  for (i, j), c in t.pair_counts.items()}
-        for (i, j), c in t.pair_counts.items():
-            lines.append(f"pair\t{i},{j}\t{c}")
+        pairs = {f"{i},{j}": str(c) for (i, j), c in t.pair_counts.items()}
+        payload["pair_counts"] = pairs
+        lines.extend(f"pair\t{key}\t{c}" for key, c in pairs.items())
     return {"d": a.d, "N": str(a.N)}, payload, lines
 
 
@@ -225,9 +225,9 @@ def _h_graph(a):
 
 
 def _h_minpoly(a):
-    f = minimal_polynomial(a.d, max_order=a.max_matrix_order)
-    return ({"d": a.d}, {"coefficients": [str(c) for c in f]},
-            ["\t".join(str(c) for c in f)])
+    coefs = [str(c) for c in minimal_polynomial(
+        a.d, max_order=a.max_matrix_order)]
+    return {"d": a.d}, {"coefficients": coefs}, ["\t".join(coefs)]
 
 
 def _h_spectral(a):
@@ -249,17 +249,15 @@ def _h_spectral(a):
 
 
 def _h_walks(a):
-    M = walk_counts(a.d, a.r, max_order=a.max_matrix_order)
-    return ({"d": a.d, "r": a.r},
-            {"matrix": [[str(e) for e in row] for row in M]},
-            ["\t".join(str(e) for e in row) for row in M])
+    M = [[str(e) for e in row]
+         for row in walk_counts(a.d, a.r, max_order=a.max_matrix_order)]
+    return ({"d": a.d, "r": a.r}, {"matrix": M},
+            ["\t".join(row) for row in M])
 
 
 def _h_a3(a):
-    members = a3_enumerate(a.limit)
-    return ({"limit": str(a.limit)},
-            {"members": [str(m) for m in members]},
-            [str(m) for m in members])
+    members = [str(m) for m in a3_enumerate(a.limit)]
+    return {"limit": str(a.limit)}, {"members": members}, members
 
 
 def _h_a3row(a):
@@ -274,9 +272,8 @@ def _h_t3zero(a):
 
 def _h_delta3(a):
     if a.trace:
-        tr = delta3_trace(a.N)
-        payload = {"N": str(a.N), "delta": str(tr[-1]),
-                   "trace": [str(v) for v in tr]}
+        tr = [str(v) for v in delta3_trace(a.N)]
+        payload = {"N": str(a.N), "delta": tr[-1], "trace": tr}
         lines = [f"{n}\t{v}" for n, v in enumerate(tr)]
     else:
         v = delta3(a.N)

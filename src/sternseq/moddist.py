@@ -10,12 +10,15 @@ Walks of length r in the resulting 2-out digraph count exactly how
 often each pair occurs in the block [2^r m, 2^r (m+1)).  The same
 doubling step gives the census of every pair over [0, N) in one pass
 down the bits of N, so every count T(N; d, i) is a projection of that
-census.  The adjacency matrix is applied only as that sparse step: walk
-counts propagate rows, and its minimal polynomial, which sets the rate
-of convergence to the densities, comes from Berlekamp-Massey on a scalar
-sequence mod p, certified over Z on one vertex per orbit of the unit
-scalings; the dense `exactalg` matrices are the oracle for `verify` and
-tests.
+census.  The adjacency matrix M is applied only as one sparse step in
+pull form, each entry the sum of two others, since L and R are
+permutations: walk counts add the packed rows at L(v) and R(v) of
+M^(r-1), and x M, for the census and for the minimal polynomial, adds
+the entries at the L- and R-predecessor of v.  The minimal polynomial,
+which sets the rate of convergence to the densities, comes from
+Berlekamp-Massey on a scalar sequence mod p, certified over Z on one
+vertex per orbit of the unit scalings; the dense `exactalg` matrices
+are the oracle for `verify` and tests.
 """
 
 import cmath
@@ -200,34 +203,55 @@ def adjacency(d: int, max_order: int = DEFAULT_MATRIX_CAP) -> IntMatrix:
 def walk_counts(d: int, r: int,
                 max_order: int = DEFAULT_MATRIX_CAP) -> IntMatrix:
     """Number of length-r walks between every vertex pair: the rows of
-    M^r, propagated (the dense `exactalg.mat_pow` is their oracle).
-    Entries reach 2^r, so r is bounded by the bit cap, and the
-    N_d^2 (r + 1) additions of r-bit entries by the work cap."""
+    M^r (the dense `exactalg.mat_pow` is their oracle).  Row v of M^r is
+    row L(v) plus row R(v) of M^(r-1), so each row is carried as one int
+    of N_d fields of 8 (r // 8 + 1) bits and a step is N_d big-integer
+    additions.  Entries reach 2^r, so no carry crosses a field, r is
+    bounded by the bit cap, and the N_d^2 (r + 1) additions of r-bit
+    entries by the work cap."""
     if r < 0:
         raise ValueError("walk length must be nonnegative")
     _check_bits(r, "walk length")
     g = _capped_graph(d, max_order)
-    _check_work(len(g.vertices) ** 2 * (r + 1), r, "walk counts")
-    return [_poly_row(g, v, [0] * r + [1]) for v in range(len(g.vertices))]
+    n = len(g.vertices)
+    _check_work(n ** 2 * (r + 1), r, "walk counts")
+    width = r // 8 + 1  # bytes per field
+    succ = tuple(zip(g.left, g.right))
+    rows = [1 << 8 * width * v for v in range(n)]
+    for _ in range(r):
+        rows = _step(succ, rows)
+    out = []
+    for row in rows:
+        raw = row.to_bytes(n * width, "little")
+        out.append([int.from_bytes(raw[k:k + width], "little")
+                    for k in range(0, n * width, width)])
+    return out
 
 
-def _step(g: PairGraph, vec: list[int]) -> list[int]:
-    # one doubling: each count moves along both edges of its vertex
-    left, right = g.left, g.right
-    nxt = [0] * len(vec)
-    for pos, c in enumerate(vec):
-        if c:
-            nxt[left[pos]] += c
-            nxt[right[pos]] += c
-    return nxt
+def _step(pairs: tuple[tuple[int, int], ...], vec: list) -> list:
+    # one doubling in pull form: entry v is the sum of the two entries
+    # that pairs[v] names; with _predecessors(d) it maps x to x M
+    return [vec[a] + vec[b] for a, b in pairs]
+
+
+@lru_cache(maxsize=64)
+def _predecessors(d: int) -> tuple[tuple[int, int], ...]:
+    # (L^-1(v), R^-1(v)) for every vertex v: L^-1(i, j) = (i, j - i) and
+    # R^-1(i, j) = (i - j, j); cached like graph(d) but apart from it,
+    # so that callers that never step, such as the DOT export, do not
+    # hold it
+    g = graph(d)
+    return tuple((g.index[i, (j - i) % d], g.index[(i - j) % d, j])
+                 for i, j in g.vertices)
 
 
 def _poly_row(g: PairGraph, v: int, f: IntPolynomial) -> list[int]:
     # row v of f(M), e_v f(M), by Horner in deg f sparse steps
+    pred = _predecessors(g.d)
     vec = [0] * len(g.vertices)
     vec[v] = f[-1]
     for c in reversed(f[:-1]):
-        vec = _step(g, vec)
+        vec = _step(pred, vec)
         vec[v] += c
     return vec
 
@@ -237,15 +261,16 @@ def _pair_census(N: int, d: int,
     """Occurrences of each feasible pair (by vertex) among S_d(n), n < N.
 
     With C(m) the census of [0, m), C(2m) = A C(m) and C(2m+1) =
-    A C(m) + e_{S_d(2m)}, where A moves each count along both edges of
-    its vertex.  One pass down the bits of N, carrying the pair of the
-    current prefix, costs O(log N * N_d).
+    A C(m) + e_{S_d(2m)}, where A = M^T gathers at each vertex the
+    counts of its L- and R-predecessor.  One pass down the bits of N,
+    carrying the pair of the current prefix, costs O(log N * N_d).
     """
     g = _capped_graph(d, max_order)
+    pred = _predecessors(d)
     counts = [0] * len(g.vertices)
     pos = g.index[(0, 1)]  # S_d(0)
     for bit in bin(N)[2:]:
-        counts = _step(g, counts)
+        counts = _step(pred, counts)
         if bit == "1":
             counts[g.left[pos]] += 1
             pos = g.right[pos]
@@ -354,23 +379,26 @@ def minimal_polynomial(d: int,
     f = mu_M.  A failed proof raises ResourceLimitError.
     """
     g = _capped_graph(d, max_order)
+    pred = _predecessors(d)
     p = _KRYLOV_PRIME
     rng = random.Random(d)
     x = [rng.randrange(p) for _ in g.vertices]
     y = [rng.randrange(p) for _ in g.vertices]
     seq, conn, prev = [], [1], [1]  # terms; connection polynomials
-    length, shift, last = 0, 1, 1  # linear complexity; prev's lag, delta
+    # linear complexity; prev's lag; the inverse of prev's discrepancy
+    length, shift, inv = 0, 1, 1
     for k in range(2 * len(g.vertices)):
         seq.append(sum(a * b for a, b in zip(x, y)) % p)
-        x = [a % p for a in _step(g, x)]
+        x = [a % p for a in _step(pred, x)]
         delta = sum(c * s for c, s in zip(conn, reversed(seq))) % p
         if delta:
-            coef = delta * pow(last, -1, p) % p
+            coef = delta * inv % p
             new = conn + [0] * (shift + len(prev) - len(conn))
             for pos, c in enumerate(prev, shift):
                 new[pos] = (new[pos] - coef * c) % p
             if 2 * length <= k:
-                length, prev, last, shift = k + 1 - length, conn, delta, 0
+                length, prev, shift = k + 1 - length, conn, 0
+                inv = pow(delta, -1, p)
             conn = new
         shift += 1
     # f(z) = z^length conn(1/z); conn has degree at most length

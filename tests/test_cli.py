@@ -1,4 +1,5 @@
 """Command-line front end: golden outputs, envelopes, exit codes."""
+import hashlib
 import io
 import json
 import os
@@ -41,6 +42,24 @@ def test_golden_tsv(argv, expected):
     code, out, err = invoke(*argv)
     assert (code, err) == (0, "")
     assert out == expected
+
+
+@pytest.mark.parametrize("argv,fmt,digest", [
+    (("walks", "--d", "9", "--r", "60"), "tsv",
+     "e36ae96af146e1303ff3723b23dc1385f049c3bc21922323e6f4becae2a83bba"),
+    (("walks", "--d", "9", "--r", "60"), "json",
+     "6ed47dce935643629a04b79c86604f1aa4f20ea2b6d9f57a660512369de643e2"),
+    (("walks", "--d", "7", "--r", "300"), "tsv",
+     "7bbb31373e332fc47e748c8e4c213a7be9de28b333863fcf7ff0dc4e8777eab7"),
+    (("walks", "--d", "7", "--r", "300"), "json",
+     "4d93ad38e3cca4a30473f927c29c62dce7b089d8f33d216d49b785d5bcd8b217"),
+])
+def test_golden_walks_digest(argv, fmt, digest):
+    """sha256 of the full stdout: any way of computing the walks must
+    print these bytes."""
+    code, out, err = invoke(*argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_delta3_trace_output():

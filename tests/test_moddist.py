@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sternseq
 from mpmath import mp
@@ -22,6 +22,7 @@ from sternseq import (DEFAULT_DIGIT_CAP, ResourceLimitError, adjacency,
                       stern_table, walk_counts)
 from sternseq.exactalg import (mat_is_zero, mat_mul, mat_pow, poly_divmod,
                                poly_eval_matrix, squarefree_factors)
+from sternseq.moddist import _predecessors
 
 ADJ3 = [
     [1, 0, 0, 1, 0, 0, 0, 0],
@@ -137,9 +138,35 @@ def test_walk_counts_identity_and_composition():
         assert walk_counts(d, 7) == mat_pow(adjacency(d), 7)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=8),
+       st.integers(min_value=0, max_value=40))
+@example(3, 0)
+@example(5, 7)
+@example(8, 8)
+@example(7, 15)
+@example(2, 16)
+def test_walk_counts_match_dense_power(d, r):
+    """Packed rows against the dense oracle, across field widths of
+    one to six bytes; r = 7, 8, 15 and 16 sit on the width steps."""
+    assert walk_counts(d, r) == mat_pow(adjacency(d), r)
+
+
+def test_steps_are_permutations():
+    """The pull-form step gathers from one L- and one R-predecessor,
+    which needs both edge maps to be bijections of the vertices."""
+    for d in range(2, 31):
+        g = graph(d)
+        order = list(range(len(g.vertices)))
+        assert sorted(g.left) == order
+        assert sorted(g.right) == order
+        for v, (a, b) in enumerate(_predecessors(d)):
+            assert (g.left[a], g.right[b]) == (v, v)
+
+
 def test_walk_length_cap(monkeypatch):
     """Entries of M^r reach 2^r, so r takes the bit cap, checked before
-    the graph or the coefficient list is built."""
+    the graph or the rows are built."""
     def unreachable(d, max_order):
         raise AssertionError("graph built past the cap")
 
