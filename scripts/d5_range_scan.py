@@ -5,38 +5,29 @@ The gap is conjectured to stay in a narrow band.  This scan prints a
 row every time a new minimum or maximum is reached, then a summary.
 """
 import argparse
-from dataclasses import dataclass
 
 from sternseq import stern_table
 
 
-@dataclass(frozen=True)
-class Config:
-    log2_n: int = 19
-    residue_hi: int = 1
-    residue_lo: int = 4
-
-
-def parse_args(argv=None) -> Config:
+def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--log2-n", type=int, default=Config.log2_n)
-    ap.add_argument("--residue-hi", type=int, default=Config.residue_hi)
-    ap.add_argument("--residue-lo", type=int, default=Config.residue_lo)
-    ns = ap.parse_args(argv)
-    return Config(ns.log2_n, ns.residue_hi, ns.residue_lo)
+    ap.add_argument("--log2-n", type=int, default=19)
+    ap.add_argument("--residue-hi", type=int, default=1)
+    ap.add_argument("--residue-lo", type=int, default=4)
+    return ap.parse_args(argv)
 
 
-def main(cfg: Config) -> None:
-    limit = 1 << cfg.log2_n
+def main(args: argparse.Namespace) -> None:
+    limit = 1 << args.log2_n
     table = stern_table(limit, mod=5)
     hi_count = lo_count = 0
     best_min = best_max = 0
     print("event\tN\tgap")
     for n in range(limit):
         v = table[n]
-        if v == cfg.residue_hi:
+        if v == args.residue_hi:
             hi_count += 1
-        elif v == cfg.residue_lo:
+        elif v == args.residue_lo:
             lo_count += 1
         gap = hi_count - lo_count
         if gap < best_min:

@@ -10,33 +10,24 @@ I(d)) are easy to spot this way.
 """
 import argparse
 import time
-from dataclasses import dataclass
 
 from sternseq import graph, index_I, spectral
 
 
-@dataclass(frozen=True)
-class Config:
-    d_min: int = 2
-    d_max: int = 12
-    digits: int = 40
-
-
-def parse_args(argv=None) -> Config:
+def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--d-min", type=int, default=Config.d_min)
-    ap.add_argument("--d-max", type=int, default=Config.d_max)
-    ap.add_argument("--digits", type=int, default=Config.digits,
+    ap.add_argument("--d-min", type=int, default=2)
+    ap.add_argument("--d-max", type=int, default=12)
+    ap.add_argument("--digits", type=int, default=40,
                     help="working precision for root refinement")
-    ns = ap.parse_args(argv)
-    return Config(ns.d_min, ns.d_max, ns.digits)
+    return ap.parse_args(argv)
 
 
-def main(cfg: Config) -> None:
+def main(args: argparse.Namespace) -> None:
     print("d\tN_d\tI_d\tdeg\trho\ttau\tsigma\twall_s", flush=True)
-    for d in range(cfg.d_min, cfg.d_max + 1):
+    for d in range(args.d_min, args.d_max + 1):
         start = time.perf_counter()
-        rep = spectral(d, digits=cfg.digits)
+        rep = spectral(d, digits=args.digits)
         wall = time.perf_counter() - start
         print(f"{d}\t{len(graph(d).vertices)}\t{index_I(d)}\t"
               f"{len(rep.minimal_poly) - 1}\t{rep.rho:.12f}\t"

@@ -6,28 +6,20 @@ sum, the true error, the a-priori error bound, and the proven bracket
 width.  The true error should sit far below the bound.
 """
 import argparse
-from dataclasses import dataclass
 
 from sternseq import t_prefix_sum
 
 
-@dataclass(frozen=True)
-class Config:
-    k_min: int = 4
-    k_max: int = 18
-
-
-def parse_args(argv=None) -> Config:
+def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--k-min", type=int, default=Config.k_min)
-    ap.add_argument("--k-max", type=int, default=Config.k_max)
-    ns = ap.parse_args(argv)
-    return Config(ns.k_min, ns.k_max)
+    ap.add_argument("--k-min", type=int, default=4)
+    ap.add_argument("--k-max", type=int, default=18)
+    return ap.parse_args(argv)
 
 
-def main(cfg: Config) -> None:
+def main(args: argparse.Namespace) -> None:
     print("log2_N\texact\tfloat\ttrue_err\terr_bound\tbracket_width")
-    for k in range(cfg.k_min, cfg.k_max + 1):
+    for k in range(args.k_min, args.k_max + 1):
         rep = t_prefix_sum(1 << k)
         err = abs(rep.float_sum - float(rep.exact_sum))
         width = float(rep.upper - rep.lower)

@@ -29,49 +29,6 @@ FORMAT_VERSION = "1"
 #: decimal digits of 2^DEFAULT_DIGIT_CAP, the largest answer printed
 _STR_DIGITS = int(DEFAULT_DIGIT_CAP * math.log10(2)) + 1
 
-#: Where each library operation is exercised from (one subcommand each;
-#: operations without their own subcommand are covered by the named
-#: verify suites, which call them directly).
-OPERATION_COVERAGE = {
-    "core.stern": "stern",
-    "core.stern_pair": "pair",
-    "core.stern_ratio": "ratio",
-    "core.diatomic_row": "row",
-    "core.stern_block": "verify",
-    "core.block_decompose": "verify",
-    "enumeration.rational_of_index": "rational",
-    "enumeration.to_odd_cfrac": "verify",
-    "enumeration.index_of_rational": "index",
-    "enumeration.reverse_bits": "verify",
-    "enumeration.brocot_row": "brocot",
-    "enumeration.minkowski_q": "minkowski",
-    "moddist.feasible_pairs": "graph",
-    "moddist.pair_counts": "verify",
-    "moddist.s_mod_pair": "verify",
-    "moddist.graph": "graph",
-    "moddist.graph_export": "graph",
-    "moddist.adjacency": "walks",
-    "moddist.walk_counts": "walks",
-    "moddist.count_block": "verify",
-    "moddist.count_T": "dist",
-    "moddist.density": "dist",
-    "moddist.index_I": "dist",
-    "moddist.minimal_polynomial": "minpoly",
-    "moddist.spectral": "spectral",
-    "smalld.even_stern_index": "verify",
-    "smalld.a3_member": "verify",
-    "smalld.a3_enumerate": "a3",
-    "smalld.a3_row_count": "a3row",
-    "smalld.t3_zero_closed": "t3zero",
-    "smalld.delta3": "delta3",
-    "smalld.delta3_classify": "verify",
-    "smalld.hyperbinary": "hyperbinary",
-    "sums.row_sum": "rowsum",
-    "sums.prefix_row_sum": "rowsum",
-    "sums.t_prefix_sum": "sum",
-    "sums.alpha_estimate": "alpha",
-}
-
 
 class UsageError(Exception):
     pass
@@ -84,57 +41,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    # the one cap a caller sets, on the commands that build a pair graph
-    order = (("--max-matrix-order",), {"type": int,
-                                       "default": DEFAULT_MATRIX_CAP})
-    p = _Parser(prog="sternseq", description=__doc__.splitlines()[0])
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, *args_spec, **kw):
-        sp = sub.add_parser(name, parents=[common], **kw)
-        for spec in args_spec:
-            sp.add_argument(*spec[0], **spec[1])
-        return sp
-
-    add("stern", (("n",), {"type": int}))
-    add("pair", (("n",), {"type": int}))
-    add("ratio", (("n",), {"type": int}))
-    add("index", (("p",), {"type": int}), (("q",), {"type": int}))
-    add("rational", (("n",), {"type": int}))
-    add("row", (("r",), {"type": int}),
-        (("a",), {"type": int, "nargs": "?", "default": 0}),
-        (("b",), {"type": int, "nargs": "?", "default": 1}))
-    add("brocot", (("r",), {"type": int}))
-    add("minkowski", (("p",), {"type": int}), (("q",), {"type": int}))
-    add("dist", (("--d",), {"type": int, "required": True}),
-        (("--N",), {"type": int, "required": True}),
-        (("--pairs",), {"action": "store_true"}), order)
-    add("graph", (("--d",), {"type": int, "required": True}),
-        (("--dot",), {"action": "store_true"}), order)
-    add("minpoly", (("--d",), {"type": int, "required": True}), order)
-    add("spectral", (("--d",), {"type": int, "required": True}), order)
-    add("walks", (("--d",), {"type": int, "required": True}),
-        (("--r",), {"type": int, "required": True}), order)
-    add("a3", (("--limit",), {"type": int, "required": True}))
-    add("a3row", (("r",), {"type": int}))
-    add("t3zero", (("r",), {"type": int}))
-    add("delta3", (("--N",), {"type": int, "required": True}),
-        (("--trace",), {"action": "store_true"}))
-    add("hyperbinary", (("--d",), {"type": int, "required": True}),
-        (("--n",), {"type": int, "required": True}))
-    add("rowsum", (("r",), {"type": int}),
-        (("--prefix",), {"action": "store_true"}))
-    add("sum", (("--N",), {"type": int, "required": True}),
-        (("--exact",), {"action": "store_true"}))
-    add("alpha", (("--t",), {"type": int, "required": True}),
-        (("--N",), {"type": int, "required": True}))
-    add("verify", (("--suite",), {"required": True}))
-    return p
 
 
 # each handler returns (params, payload, tsv lines)
@@ -331,16 +237,55 @@ def _h_verify(a):
     return {"suite": a.suite}, payload, lines
 
 
-_HANDLERS = {
-    "stern": _h_stern, "pair": _h_pair, "ratio": _h_ratio,
-    "index": _h_index, "rational": _h_rational, "row": _h_row,
-    "brocot": _h_brocot, "minkowski": _h_minkowski, "dist": _h_dist,
-    "graph": _h_graph, "minpoly": _h_minpoly, "spectral": _h_spectral,
-    "walks": _h_walks, "a3": _h_a3, "a3row": _h_a3row,
-    "t3zero": _h_t3zero, "delta3": _h_delta3,
-    "hyperbinary": _h_hyperbinary, "rowsum": _h_rowsum, "sum": _h_sum,
-    "alpha": _h_alpha, "verify": _h_verify,
-}
+def build_parser() -> _Parser:
+    """One `add` per subcommand: its name, handler and arguments."""
+    common = _Parser(add_help=False)
+    common.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    p = _Parser(prog="sternseq", description=__doc__.splitlines()[0])
+    sub = p.add_subparsers(dest="command", required=True)
+
+    def add(name, handler, *args_spec):
+        sp = sub.add_parser(name, parents=[common])
+        sp.set_defaults(handler=handler)
+        for flags, kw in args_spec:
+            sp.add_argument(*flags, **kw)
+
+    def pos(name, **kw):  # an integer positional
+        return (name,), {"type": int, **kw}
+
+    def req(name):  # a required integer option
+        return ("--" + name,), {"type": int, "required": True}
+
+    def flag(name):
+        return ("--" + name,), {"action": "store_true"}
+
+    # the one cap a caller sets, on the commands that build a pair graph
+    order = ("--max-matrix-order",), {"type": int,
+                                      "default": DEFAULT_MATRIX_CAP}
+    add("stern", _h_stern, pos("n"))
+    add("pair", _h_pair, pos("n"))
+    add("ratio", _h_ratio, pos("n"))
+    add("index", _h_index, pos("p"), pos("q"))
+    add("rational", _h_rational, pos("n"))
+    add("row", _h_row, pos("r"), pos("a", nargs="?", default=0),
+        pos("b", nargs="?", default=1))
+    add("brocot", _h_brocot, pos("r"))
+    add("minkowski", _h_minkowski, pos("p"), pos("q"))
+    add("dist", _h_dist, req("d"), req("N"), flag("pairs"), order)
+    add("graph", _h_graph, req("d"), flag("dot"), order)
+    add("minpoly", _h_minpoly, req("d"), order)
+    add("spectral", _h_spectral, req("d"), order)
+    add("walks", _h_walks, req("d"), req("r"), order)
+    add("a3", _h_a3, req("limit"))
+    add("a3row", _h_a3row, pos("r"))
+    add("t3zero", _h_t3zero, pos("r"))
+    add("delta3", _h_delta3, req("N"), flag("trace"))
+    add("hyperbinary", _h_hyperbinary, req("d"), req("n"))
+    add("rowsum", _h_rowsum, pos("r"), flag("prefix"))
+    add("sum", _h_sum, req("N"), flag("exact"))
+    add("alpha", _h_alpha, req("t"), req("N"))
+    add("verify", _h_verify, (("--suite",), {"required": True}))
+    return p
 
 
 def run(argv=None, stdout=None, stderr=None) -> int:
@@ -363,7 +308,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        params, payload, lines = _HANDLERS[args.command](args)
+        params, payload, lines = args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return 1

@@ -113,14 +113,16 @@ def pair_counts(d: int) -> tuple[int, list[int]]:
     if d > DEFAULT_TABLE_CAP:
         raise ResourceLimitError(f"modulus {d} exceeds the pair-count cap "
                                  f"{DEFAULT_TABLE_CAP}")
-    rows = []
-    for i in range(d):
-        c = d
-        for p in _prime_factors(d):
-            if i % p == 0:
-                c = c * (p - 1) // p
-        rows.append(c)
-    return _pair_total(d), rows
+    return _pair_total(d), [_row_count(d, i) for i in range(d)]
+
+
+def _row_count(d: int, i: int) -> int:
+    # feasible pairs with first coordinate i mod d
+    c = d
+    for p in _prime_factors(d):
+        if i % p == 0:
+            c = c * (p - 1) // p
+    return c
 
 
 def _pair_total(d: int) -> int:
@@ -263,9 +265,12 @@ def _pair_census(N: int, d: int,
     With C(m) the census of [0, m), C(2m) = A C(m) and C(2m+1) =
     A C(m) + e_{S_d(2m)}, where A = M^T gathers at each vertex the
     counts of its L- and R-predecessor.  One pass down the bits of N,
-    carrying the pair of the current prefix, costs O(log N * N_d).
+    carrying the pair of the current prefix, costs O(log N * N_d)
+    additions of integers of up to log N bits, bounded by the work cap.
     """
     g = _capped_graph(d, max_order)
+    bits = N.bit_length()
+    _check_work(len(g.vertices) * bits, bits, "pair census sums")
     pred = _predecessors(d)
     counts = [0] * len(g.vertices)
     pos = g.index[(0, 1)]  # S_d(0)
@@ -309,26 +314,17 @@ def count_T(N: int, d: int, i: int) -> int:
 def density(d: int, i: int) -> Fraction:
     """Limiting density of indices with s(n) == i (mod d).
 
-    (1/d) * prod over p | d of: p/(p+1) if p | i, else p^2/(p^2-1).
+    The pairs S_d(n) are uniformly distributed over the feasible pairs,
+    so this is the share of feasible pairs with first coordinate i.
     """
     _check_modulus(d)
-    i %= d
-    out = Fraction(1, d)
-    for p in _prime_factors(d):
-        if i % p == 0:
-            out *= Fraction(p, p + 1)
-        else:
-            out *= Fraction(p * p, p * p - 1)
-    return out
+    return Fraction(_row_count(d, i), _pair_total(d))
 
 
 def index_I(d: int) -> int:
     """1 / density(d, 0) = d * prod (p+1)/p; always an integer."""
     _check_modulus(d)
-    out = d
-    for p in _prime_factors(d):
-        out = out * (p + 1) // p
-    return out
+    return _pair_total(d) // _row_count(d, 0)
 
 
 class DistTable(NamedTuple):

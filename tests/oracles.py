@@ -55,6 +55,30 @@ def residue_counts(N, d):
     return counts
 
 
+def _primes_dividing(d):
+    return [p for p in range(2, d + 1)
+            if d % p == 0 and all(p % q for q in range(2, p))]
+
+
+def product_density(d, i):
+    """The paper's limiting density of s(n) == i (mod d):
+    (1/d) * prod over primes p | d of p/(p+1) if p | i, else
+    p^2/(p^2-1)."""
+    out = Fraction(1, d)
+    for p in _primes_dividing(d):
+        out *= Fraction(p, p + 1) if i % p == 0 else Fraction(p * p,
+                                                              p * p - 1)
+    return out
+
+
+def product_index_I(d):
+    """I(d) = d * prod over primes p | d of (p+1)/p."""
+    out = Fraction(d)
+    for p in _primes_dividing(d):
+        out *= Fraction(p + 1, p)
+    return out
+
+
 def cfrac_value(quotients):
     """Value of the simple continued fraction [a0; a1, a2, ...]."""
     acc = Fraction(quotients[-1])

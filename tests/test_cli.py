@@ -11,7 +11,12 @@ import pytest
 
 import sternseq
 from oracles import residue_counts
-from sternseq.cli import OPERATION_COVERAGE, _HANDLERS, run
+from sternseq.cli import _STR_DIGITS, run
+
+# as run() does: arguments and answers reach 2^16 bits, past the default
+# limit on decimal conversion of Pythons from 3.10.7 on
+if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < _STR_DIGITS:
+    sys.set_int_max_str_digits(_STR_DIGITS)
 
 
 def invoke(*argv):
@@ -53,13 +58,128 @@ def test_golden_tsv(argv, expected):
      "7bbb31373e332fc47e748c8e4c213a7be9de28b333863fcf7ff0dc4e8777eab7"),
     (("walks", "--d", "7", "--r", "300"), "json",
      "4d93ad38e3cca4a30473f927c29c62dce7b089d8f33d216d49b785d5bcd8b217"),
+    # at least one command per subcommand, in both formats
+    (("stern", "12345678901234567890"), "tsv",
+     "3b0230f584b6d2fae44f3025411a89b7e4cf583f6cdb1bf5847e7780ba6808d7"),
+    (("stern", "12345678901234567890"), "json",
+     "f6ddf16262e6cd36b6e744eb8542c88920f8b76d183c02658fe5be800bd62617"),
+    (("pair", "1000003"), "tsv",
+     "3610a50c3b52d3f6d5cf9f301c41c31fcb685d3417e998a0aca51717b5f570f7"),
+    (("pair", "1000003"), "json",
+     "48a22d085a744a4b3bae2ec7ff25770cc1839e5cb79b8f2290150d125221eef8"),
+    (("ratio", "1000003"), "tsv",
+     "59606c236764bfdf8ad554b287f0fa87a94aebc60c405ec0cb6ba31051ee9816"),
+    (("ratio", "1000003"), "json",
+     "7a817cb9dce65dcbd8e75d634cd5bd8bfbc3d3e1401b11f69e54d7332878dc1a"),
+    (("index", "355", "113"), "tsv",
+     "bedcc999922d7c4b965921e8dfb268678ce8fbfaf85dda5f390eea2b5641fe6a"),
+    (("index", "355", "113"), "json",
+     "b06582f0e0e80b5a29250573e10649756db69ec66d91e66ead9a338aa2ab50a5"),
+    (("rational", "1000003"), "tsv",
+     "59606c236764bfdf8ad554b287f0fa87a94aebc60c405ec0cb6ba31051ee9816"),
+    (("rational", "1000003"), "json",
+     "d5d698592bff8240253ffb8aec534217bc51817445605fae62a5e6d880c1fc17"),
+    (("row", "8", "3", "5"), "tsv",
+     "69bee71322c137f3ed8c10362b2cf5a0e8cc69f7e89ebcf4635a23932e2b66b0"),
+    (("row", "8", "3", "5"), "json",
+     "cd85cf34b7e6a788d04661e6467726b9b27224333c6d64f4e091b18c7a38f0f6"),
+    (("brocot", "5"), "tsv",
+     "f4abd3801671bf670a41d3360da3c3a91c8fc283ccd83b11ee17d8a57c6e1809"),
+    (("brocot", "5"), "json",
+     "57f1b09c0ea44088d3db05639616780d9eecf199d90d6210c5776a73a618ab05"),
+    (("minkowski", "113", "355"), "tsv",
+     "51da08d9d1eb5abc2b806f45f2a629fe7f50eafcf931caef45e80cf71892de14"),
+    (("minkowski", "113", "355"), "json",
+     "2887b1ba968afb80bfdb25bf05274a80cc0de491af7bc62664f87b7392664ea7"),
+    (("dist", "--d", "7", "--N", "1000003"), "tsv",
+     "012f8953f76de8819211b620fb8400e8be17f7dc60d65289b96d0b2fafeaac96"),
+    (("dist", "--d", "7", "--N", "1000003"), "json",
+     "f199ec419313ea606b1a1c8e0b040da3c76cccbf0b0099ee95010ed5364d30fe"),
+    (("dist", "--d", "3", "--N", "4096", "--pairs"), "tsv",
+     "6165b2c293ef9253ca7b7779946a3ed0d174f64e1a23d19678b08a571d0d246d"),
+    (("dist", "--d", "3", "--N", "4096", "--pairs"), "json",
+     "7cccb093b9faa5937cac9760a73248ce9f063b5c7be628b1fa2c05c49f49ef35"),
+    (("graph", "--d", "5"), "tsv",
+     "b3d062e488e9cbb7322eb824cb53a4a61ca60f6a1cb63a60b1e001dd3af532e2"),
+    (("graph", "--d", "5"), "json",
+     "589771212dbde17013c7e35bd7129a32d5674aec7d726ef7df443cf5ede6480d"),
+    (("graph", "--d", "5", "--dot"), "tsv",
+     "e23cb7904d2a23542dbf268a8717618c7c1b0f9bd9856f4bfabdfa673ad718f0"),
+    (("graph", "--d", "5", "--dot"), "json",
+     "8ca5d3d6fcbc9d171ab0e5bb68d18b65f88226a3cda71f077e8f0f44cca854ea"),
+    (("minpoly", "--d", "7"), "tsv",
+     "17a0b2eb515a70934a14fe9dc3c51e8881aaaf6204a2c88de0eea8106b6a8b81"),
+    (("minpoly", "--d", "7"), "json",
+     "efbc4af345c8cbeeb1ccc2985f9280405b02956e37fbd55ff35e419d712f4cf9"),
+    (("spectral", "--d", "3"), "tsv",
+     "12689134dd0ea47ac9af109a1999d7a2e463ba952bfaf335f8ebecc909ec6613"),
+    (("spectral", "--d", "3"), "json",
+     "66818900dff1daa197e9e57faaec2cd8f15ac97dee9aa1091a47635d29a0960f"),
+    (("walks", "--d", "4", "--r", "10"), "tsv",
+     "37fb6f8a7d09389fa6b6beb4c4d07a2da14f6905a38245e03caf58b87c4fa15f"),
+    (("walks", "--d", "4", "--r", "10"), "json",
+     "92d5433e2faf14cba7d1b72217f29d3f69ebec16952a42d55696f56de9c81cab"),
+    (("a3", "--limit", "1000"), "tsv",
+     "fba21e7bc6207df04e88ae5320f55c324d930c06784171a8fd7abc8c65ce84bb"),
+    (("a3", "--limit", "1000"), "json",
+     "53c92247d757dbd1028771da8f6f6533524501abb87e7190d9ca27b39cacec24"),
+    (("a3row", "300"), "tsv",
+     "c1fa2dde122befd75f733c6328a4d083013c0ddf5311bfcae358433ca5e145e4"),
+    (("a3row", "300"), "json",
+     "60964f3e96b32c0a904181c91b2589cb9af57e0209bfeb8aa47dce420dd8d420"),
+    (("t3zero", "300"), "tsv",
+     "fab04ede242da7ee4bb35a46a404c2ffa038cc708bfaa7c9b1cbf8189d3685b2"),
+    (("t3zero", "300"), "json",
+     "e45cded3e15f91c4bf6246b827cc744f173a8e0dcdc1a738c0e35074ee7c571f"),
+    (("delta3", "--N", "123456789"), "tsv",
+     "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
+    (("delta3", "--N", "123456789"), "json",
+     "ae7c8c21730bcac5ea9aac14b886ccb22b935566142fa83be86fba92c95a647e"),
+    (("delta3", "--N", "300", "--trace"), "tsv",
+     "f49c5d6853df9aad283943c5ec4f6d570f5b7013c3591921df13d4e9ea09497b"),
+    (("delta3", "--N", "300", "--trace"), "json",
+     "ca520a492f44715caff6d2b983c99a10087c3063ca77654704b463fc8c0d97dd"),
+    (("hyperbinary", "--d", "5", "--n", str(10 ** 30)), "tsv",
+     "257af47651b1504c3e6b97a665dec4a9dcf7b8559a4e13d1e972b027e18f730f"),
+    (("hyperbinary", "--d", "5", "--n", str(10 ** 30)), "json",
+     "3174acd16b518cf2521ecf253aa3329bd3f2711d9eeacc3c8d13df65eee7b862"),
+    (("rowsum", "10", "--prefix"), "tsv",
+     "417bb0e319b1ad1c6aef9fad1de656adf995e0b081e12c7c2b3a85442758371b"),
+    (("rowsum", "10", "--prefix"), "json",
+     "ef97cb22b2a468f14495ebc80fea4b8ceccbb020179c97c7d333ea9930e0dcd8"),
+    (("sum", "--N", "1000", "--exact"), "tsv",
+     "d513fe55aac8b0f0b3c753756e5e5f232772e6929f736aa7caeb84ba0f6ad80b"),
+    (("sum", "--N", "1000", "--exact"), "json",
+     "75eaff1c98bcb6c10e11f2f8ca34400813b3749a248aa94f682e7a3935befb25"),
+    (("alpha", "--t", "2", "--N", "100000"), "tsv",
+     "a92aad82b276dbf5673fc13527625d0cbaf0bc0c928d61b2483826c83f714d71"),
+    (("alpha", "--t", "2", "--N", "100000"), "json",
+     "0898c5b15dfa8467b3bccf66a34087a9ef1de7499e2abad13354f8cdeed14d61"),
+    (("verify", "--suite", "core"), "tsv",
+     "a13a048dc6ab3758b56931c50f521d216720b0eeff884934486d1ca1ed70114e"),
+    (("verify", "--suite", "core"), "json",
+     "d2625aab083d4debe683115d641e030423cf16b33b944d4581a180d5639d059a"),
 ])
 def test_golden_walks_digest(argv, fmt, digest):
-    """sha256 of the full stdout: any way of computing the walks must
-    print these bytes."""
+    """sha256 of the full stdout: any way of computing the walks, or of
+    parsing and printing any command, must print these bytes."""
     code, out, err = invoke(*argv, "--format", fmt)
     assert (code, err) == (0, "")
+    if argv[0] == "spectral":
+        out = _without_residuals(out, fmt)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _without_residuals(out, fmt):
+    # a root's residual depends on the float seeds of its refinement
+    if fmt == "json":
+        doc = json.loads(out)
+        for root in doc["result"]["roots"]:
+            del root["residual"]
+        return json.dumps(doc, sort_keys=True) + "\n"
+    rows = [line.split("\t") for line in out.splitlines()]
+    return "".join("\t".join(f[:4] + f[5:] if f[0] == "root" else f) + "\n"
+                   for f in rows)
 
 
 def test_delta3_trace_output():
@@ -177,6 +297,7 @@ PAST_A_CAP = [
     ("walks", "--d", "2", "--r", "65537"),
     ("walks", "--d", "9", "--r", "4000"),
     ("hyperbinary", "--d", "4194304", "--n", str(2 ** 40)),
+    ("dist", "--d", "24", "--N", str(2 ** 16000 - 1)),
 ]
 
 
@@ -284,16 +405,6 @@ def test_help_exits_zero():
     assert code == 0
     code, _, _ = invoke("dist", "--help")
     assert code == 0
-
-
-def test_every_operation_routed_once():
-    assert len(OPERATION_COVERAGE) == 37
-    for op, sub in OPERATION_COVERAGE.items():
-        module, name = op.split(".")
-        assert hasattr(sternseq, name), op
-        assert sub in _HANDLERS, op
-    # no orphan subcommands either: all of them serve some operation
-    assert set(OPERATION_COVERAGE.values()) == set(_HANDLERS)
 
 
 def test_module_entry_point():

@@ -13,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 import sternseq
 from mpmath import mp
 from oracles import (dense_minimal_polynomial, pair_histogram, polyroots,
-                     residue_counts, yun_squarefree_factors)
+                     product_density, product_index_I, residue_counts,
+                     yun_squarefree_factors)
 from sternseq import (DEFAULT_DIGIT_CAP, ResourceLimitError, adjacency,
                       count_T, count_block, density, dist_table,
                       feasible_pairs, graph, graph_export, index_I,
@@ -213,6 +214,9 @@ def test_count_strategies_are_bit_identical():
 def test_count_T_caps_and_validation():
     with pytest.raises(ResourceLimitError):  # 10^12 pairs: rejected unbuilt
         count_T(8, 10**6, 0)
+    # 384 pairs mod 24 times 16,000 bits, each sum twice the unit work
+    with pytest.raises(ResourceLimitError, match="work cap"):
+        count_T(2 ** 16000 - 1, 24, 0)
     assert count_T(100, 3, 5) == count_T(100, 3, 2)  # residue is reduced
 
 
@@ -238,6 +242,16 @@ def test_index_I_golden():
     for d, val in expected.items():
         assert index_I(d) == val
         assert density(d, 0) == Fraction(1, val)
+
+
+def test_density_and_index_match_product_formulas():
+    """The shares of feasible pairs by first coordinate give the paper's
+    product formulas."""
+    for d in range(2, 201):
+        assert [density(d, i) for i in range(d)] == [
+            product_density(d, i) for i in range(d)]
+        assert index_I(d) == product_index_I(d)
+    assert density(12, -1) == density(12, 11)
 
 
 def test_dist_table_counts_and_deviations():
