@@ -56,7 +56,8 @@ def suite_core():
                      for r in range(5) for n in range(16)
                      for k in range((1 << r) + 1)]))
     rows_ok = all(
-        diatomic_row(r, a, b) == _insertion_row(r, a, b)
+        diatomic_row(r, a, b) == [stern((1 << r) - k) * a + stern(k) * b
+                                  for k in range((1 << r) + 1)]
         for r in range(6) for a in range(3) for b in range(3))
     out.append(("row closed form matches insertion rule", rows_ok, ""))
     tile_ok = True
@@ -68,17 +69,6 @@ def suite_core():
         tile_ok &= all(m % 2 == 0 for _, m in block_decompose(N))
     out.append(("block decomposition tiles [0, N)", tile_ok, ""))
     return out
-
-
-def _insertion_row(r, a, b):
-    row = [a, b]
-    for _ in range(r):
-        nxt = []
-        for x, y in zip(row, row[1:]):
-            nxt += [x, x + y]
-        nxt.append(row[-1])
-        row = nxt
-    return row
 
 
 def suite_enumeration():

@@ -6,11 +6,14 @@ The sequence is defined by s(0) = 0, s(1) = 1 and
 
 Everything in this module is integer-exact; no floats appear.  The
 consecutive-pair scan gives O(bits) evaluation of single values, the
-doubling table gives O(N) evaluation of ranges, and the diatomic array
-generalises the row structure to arbitrary seed pairs.
+table filled row by row in slices gives O(N) evaluation of ranges, and
+the diatomic array generalises the row structure to arbitrary seed
+pairs.
 """
 
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mod as _mod
 from typing import NamedTuple
 
 #: largest index of a table of s(n); every O(N) path builds one
@@ -19,6 +22,8 @@ DEFAULT_TABLE_CAP = 1 << 22
 DEFAULT_DIGIT_CAP = 1 << 16
 #: largest work of a loop sized by two inputs, in steps of about 1 us
 DEFAULT_WORK_CAP = 1 << 22
+#: most source indices stern_table reads in one slice; bounds its temporaries
+_CHUNK = 1 << 15
 
 
 class ResourceLimitError(Exception):
@@ -90,53 +95,72 @@ def stern_ratio(n: int) -> Fraction:
     return Fraction(a, b)
 
 
-def stern_table(limit: int, mod: int | None = None) -> list[int]:
-    """s(0..limit) as a list, optionally reduced modulo `mod`.
-
-    Filled bottom-up by the doubling recurrence; the workhorse behind
-    every large scan in the package, and the one place their size is
-    checked: limit > DEFAULT_TABLE_CAP raises ResourceLimitError before
-    anything is allocated.
-    """
-    if limit < 0:
-        raise ValueError("limit must be nonnegative")
+def _check_table(limit: int):
+    """Raise ResourceLimitError when a table of s(0..limit) exceeds
+    DEFAULT_TABLE_CAP, before anything is allocated."""
     if limit > DEFAULT_TABLE_CAP:
         raise ResourceLimitError(f"table of s(n) to n = {limit} exceeds "
                                  f"the table cap {DEFAULT_TABLE_CAP}")
+
+
+def stern_table(limit: int, mod: int | None = None) -> list[int]:
+    """s(0..limit) as a list, optionally reduced modulo `mod` >= 1.
+
+    Every s(2^k) is preset to 1; then row [2^(r+1), 2^(r+2)) is filled
+    from row [2^r, 2^(r+1)) by slices: s(2n) = s(n) copies the row onto
+    the even places and s(2n+1) = s(n) + s(n+1) maps `add` over it onto
+    the odd ones.  Each slice reads at most _CHUNK + 1 values, all of
+    row r or the preset s(2^(r+1)), so no whole-row temporary is made.
+    The workhorse behind every large scan in the package, and the one
+    place their size is checked: limit > DEFAULT_TABLE_CAP raises
+    ResourceLimitError before anything is allocated.
+    """
+    if limit < 0:
+        raise ValueError("limit must be nonnegative")
+    if mod is not None and mod < 1:
+        raise ValueError("modulus must be positive")
+    _check_table(limit)
     vals = [0] * (limit + 1)
-    if limit >= 1:
-        vals[1] = 1 if mod is None else 1 % mod
-    if mod is None:
-        for n in range(1, limit // 2 + 1):
-            v = vals[n]
-            m = 2 * n
-            vals[m] = v
-            if m + 1 <= limit:
-                vals[m + 1] = v + vals[n + 1]
-    else:
-        for n in range(1, limit // 2 + 1):
-            v = vals[n]
-            m = 2 * n
-            vals[m] = v
-            if m + 1 <= limit:
-                vals[m + 1] = (v + vals[n + 1]) % mod
+    one = 1 if mod is None else 1 % mod
+    power = 1
+    while power <= limit:
+        vals[power] = one
+        power <<= 1
+    # sources n < even_end give s(2n), those n < odd_end give s(2n+1)
+    even_end, odd_end = limit // 2 + 1, (limit + 1) // 2
+    lo = 1
+    while lo < even_end:
+        hi = min(lo + _CHUNK, 1 << lo.bit_length(), even_end)
+        src = vals[lo:hi + 1]
+        vals[2 * lo:2 * hi:2] = src[:-1]
+        k = min(hi, odd_end) - lo
+        odds = map(add, src, src[1:k + 1])
+        if mod is not None:
+            odds = map(_mod, odds, repeat(mod))
+        vals[2 * lo + 1:2 * (lo + k):2] = odds
+        lo = hi
     return vals
 
 
 def diatomic_row(r: int, a: int, b: int) -> list[int]:
     """Row r of the diatomic array with seed row (a, b).
 
-    Entry k (0 <= k <= 2^r) equals s(2^r - k)*a + s(k)*b.  This closed
-    form agrees with iterating the insertion rule (keep a row, insert
-    the sum of each adjacent pair between them) r times, which tests
+    Grown by the insertion rule: r times, keep the row on the even
+    places and write the sum of each adjacent pair between them.  Entry
+    k (0 <= k <= 2^r) then equals s(2^r - k)*a + s(k)*b, which tests
     verify.  Rows up to r = 22 fit the table cap.
     """
     if r < 0:
         raise ValueError("row exponent must be nonnegative")
     _check_bits(r, "row exponent")
-    half = 1 << r
-    s = stern_table(half)
-    return [s[half - k] * a + s[k] * b for k in range(half + 1)]
+    _check_table(1 << r)
+    row = [a, b]
+    for _ in range(r):
+        new = [0] * (2 * len(row) - 1)
+        new[0::2] = row
+        new[1::2] = map(add, row, row[1:])
+        row = new
+    return row
 
 
 def stern_block(r: int, n: int, k: int) -> int:

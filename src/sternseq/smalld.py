@@ -10,7 +10,7 @@ d - 1) tie back to the sequence through s(n) = b(3; n - 1).
 """
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .core import (DEFAULT_TABLE_CAP, ResourceLimitError, _check_bits,
                    _check_work, stern_table)
@@ -18,6 +18,8 @@ from .moddist import _pair_census, graph, s_mod_pair
 
 #: largest limit of a3_enumerate, which holds members, not a table
 DEFAULT_ENUM_CAP = 1 << 24
+# residue byte -> signed step of Delta: 0 -> 0, 1 -> +1, 2 -> -1 (0xff)
+_DELTA3_STEP = bytes.maketrans(b"\x02", b"\xff")
 
 
 class Sqrt7Complex:
@@ -117,23 +119,25 @@ def a3_enumerate(limit: int) -> list[int]:
     """Sorted indices n < limit with 3 | s(n), grown as a closure.
 
     Seeds {0, 5, 7}; every positive member n spawns 2n and 8n +- 5,
-    8n +- 7.  All children exceed their parent, so one worklist pass
-    below `limit` is complete.  limit is at most DEFAULT_ENUM_CAP.
+    8n +- 7.  All children exceed their parent and every n > 1 has
+    exactly one parent, so the closure grows one level at a time with
+    no repeats, and the levels below `limit` are complete.  limit is at
+    most DEFAULT_ENUM_CAP.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     if limit > DEFAULT_ENUM_CAP:
         raise ResourceLimitError(
             f"enumeration to {limit} exceeds cap {DEFAULT_ENUM_CAP}")
-    seen = {n for n in (0, 5, 7) if n < limit}
-    work = [n for n in seen if n > 0]
-    while work:
-        n = work.pop()
-        for child in (2 * n, 8 * n - 7, 8 * n - 5, 8 * n + 5, 8 * n + 7):
-            if 0 < child < limit and child not in seen:
-                seen.add(child)
-                work.append(child)
-    return sorted(seen)
+    members = [0] if limit > 0 else []
+    level = [n for n in (5, 7) if n < limit]
+    while level:
+        members += level
+        level = [c for n in level
+                 for c in (2 * n, 8 * n - 7, 8 * n - 5, 8 * n + 5, 8 * n + 7)
+                 if c < limit]
+    members.sort()
+    return members
 
 
 def a3_row_count(r: int) -> int:
@@ -203,22 +207,21 @@ def delta3(N: int, method: str = "auto",
 
 
 def delta3_trace(N: int, table_cap: int = DEFAULT_TABLE_CAP) -> list[int]:
-    """[Delta(0), ..., Delta(N)] in one pass."""
+    """[Delta(0), ..., Delta(N)] in one pass.
+
+    The residues s(n) mod 3 for n < N are read as bytes, translated to
+    signed steps (+1 for residue 1, -1 for residue 2) and accumulated.
+    """
     if N < 0:
         raise ValueError("N must be nonnegative")
     if N > table_cap:
-        raise ResourceLimitError(f"trace of {N} values exceeds cap {table_cap}")
+        raise ResourceLimitError(f"trace of {N} values exceeds cap "
+                                 f"{table_cap}")
     t = stern_table(max(N - 1, 0), mod=3)
-    out = [0]
-    acc = 0
-    for n in range(N):
-        v = t[n]
-        if v == 1:
-            acc += 1
-        elif v == 2:
-            acc -= 1
-        out.append(acc)
-    return out
+    # a signed-byte view, not an array: the array module costs every
+    # CLI process a shared-library load at import
+    steps = memoryview(bytes(islice(t, N)).translate(_DELTA3_STEP))
+    return list(accumulate(steps.cast("b"), initial=0))
 
 
 def delta3_classify(m: int) -> tuple[int, int]:

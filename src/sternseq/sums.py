@@ -12,6 +12,8 @@ estimates are labeled empirical.
 import math
 import sys
 from fractions import Fraction
+from itertools import islice
+from operator import truediv
 from typing import NamedTuple
 
 from .core import ResourceLimitError, _check_bits, stern_table
@@ -61,8 +63,10 @@ def theorem_bounds(N: int) -> tuple[Fraction, Fraction]:
 
 
 def _ratio_fsum(table, count, shift):
-    # exactly rounded, so the result is independent of summation order
-    return math.fsum(table[n] / table[n + shift] for n in range(count))
+    # sum of table[n] / table[n + shift] over n < count; exactly
+    # rounded, so the result is independent of summation order
+    return math.fsum(map(truediv, islice(table, count),
+                         islice(table, shift, shift + count)))
 
 
 def _pairwise_fraction_sum(terms) -> Fraction:

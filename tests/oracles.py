@@ -21,6 +21,37 @@ def naive_stern(n):
     return naive_stern(n // 2) + naive_stern(n // 2 + 1)
 
 
+def stern_table_scalar(limit, mod=None):
+    """s(0..limit), optionally mod `mod`, by the indexed doubling loop:
+    for each n, store s(2n) = s(n) and s(2n+1) = s(n) + s(n+1)."""
+    vals = [0] * (limit + 1)
+    if limit >= 1:
+        vals[1] = 1 if mod is None else 1 % mod
+    for n in range(1, limit // 2 + 1):
+        v = vals[n]
+        m = 2 * n
+        vals[m] = v
+        if m + 1 <= limit:
+            vals[m + 1] = v + vals[n + 1]
+            if mod is not None:
+                vals[m + 1] %= mod
+    return vals
+
+
+def delta3_scan(N):
+    """[Delta(0), ..., Delta(N)] by a running count over s(n) mod 3:
+    +1 for residue 1, -1 for residue 2."""
+    out, acc = [0], 0
+    for n in range(N):
+        v = naive_stern(n) % 3
+        if v == 1:
+            acc += 1
+        elif v == 2:
+            acc -= 1
+        out.append(acc)
+    return out
+
+
 def insertion_row(r, a, b):
     """Row r of the diatomic array grown by literal insertion.
 

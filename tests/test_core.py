@@ -1,11 +1,12 @@
 """Core sequence: bit scan, doubling table, diatomic rows, block splits."""
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from oracles import insertion_row, naive_stern
+from oracles import insertion_row, naive_stern, stern_table_scalar
 import sternseq
 from sternseq import (DEFAULT_DIGIT_CAP, DEFAULT_TABLE_CAP,
                       ResourceLimitError, SternPair, block_decompose,
@@ -55,6 +56,30 @@ def test_table_mod_matches_plain(table16):
         assert tm == [v % d for v in table16[:4097]]
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 3, 4]),
+       st.one_of(st.none(), st.integers(min_value=1, max_value=300)))
+def test_table_matches_scalar_loop_at_every_chunk_edge(chunk, mod):
+    """Tiny chunks put a chunk or row boundary at every small limit."""
+    want = stern_table_scalar(300, mod)
+    with mock.patch.object(sternseq.core, "_CHUNK", chunk):
+        for limit in range(301):
+            assert stern_table(limit, mod) == want[:limit + 1]
+
+
+@pytest.mark.parametrize("mod", [None, 1, 2, 3, 7, 12, 256])
+def test_table_matches_scalar_loop_across_real_chunks(mod):
+    want = stern_table_scalar((1 << 17) + 1, mod)
+    for limit in ((1 << 17) - 1, (1 << 17) + 1, 3 * (1 << 15) + 1):
+        assert stern_table(limit, mod) == want[:limit + 1]
+
+
+def test_table_rejects_nonpositive_modulus():
+    for limit, mod in ((5, 0), (0, 0), (10, -3)):
+        with pytest.raises(ValueError, match="modulus"):
+            stern_table(limit, mod)
+
+
 def test_mirror_symmetry_within_rows(table16):
     for r in range(1, 16):
         for k in range(0, (1 << r) + 1, max(1, (1 << r) // 64)):
@@ -91,7 +116,7 @@ def test_row_golden():
 
 
 def test_row_cap(monkeypatch):
-    """Rows inherit the table cap of stern_table, which bounds the
+    """Rows share the table cap of stern_table, which bounds the
     largest index: row r needs s(2^r), so r = 22 is the last that fits."""
     for r in (23, 25, DEFAULT_DIGIT_CAP + 1):
         with pytest.raises(ResourceLimitError):

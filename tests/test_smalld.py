@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sternseq
-from oracles import count_digit_strings, naive_stern, product_coefficients
+from oracles import (count_digit_strings, delta3_scan, naive_stern,
+                     product_coefficients)
 from sternseq import (DEFAULT_DIGIT_CAP, DEFAULT_TABLE_CAP, MU,
                       ResourceLimitError, Sqrt7Complex, a3_enumerate,
                       a3_member, a3_row_count, a3_row_count_closed, count_T,
@@ -142,6 +143,11 @@ def test_closed_form_checks_survive_optimize():
 
 def test_delta3_trace_prefix():
     assert delta3_trace(8) == [0, 0, 1, 2, 1, 2, 2, 1, 1]
+
+
+def test_delta3_trace_matches_running_count():
+    for N in list(range(40)) + [1000, 4097]:
+        assert delta3_trace(N) == delta3_scan(N)
 
 
 def test_delta3_stays_in_band():

@@ -10,7 +10,7 @@ from sternseq import (DEFAULT_EXACT_CAP, DEFAULT_TABLE_CAP,
                       ResourceLimitError, SumReport, alpha_estimate,
                       prefix_row_sum, row_sum, stern_ratio, t_prefix_sum,
                       theorem_bounds)
-from sternseq.sums import _pairwise_fraction_sum
+from sternseq.sums import _pairwise_fraction_sum, _ratio_fsum
 
 
 def direct_row_sum(r):
@@ -98,6 +98,14 @@ def test_mode_validation():
         t_prefix_sum(16, mode="fast")
     with pytest.raises(ValueError):
         t_prefix_sum(0)
+
+
+@pytest.mark.parametrize("shift", [1, 2, 5])
+def test_ratio_fsum_matches_generator_form(table16, shift):
+    for count in (0, 1, 7, 1000, len(table16) - shift):
+        want = math.fsum(table16[n] / table16[n + shift]
+                         for n in range(count))
+        assert _ratio_fsum(table16, count, shift) == want
 
 
 def test_alpha_estimate_lag_one():
