@@ -167,9 +167,11 @@ def stern_block(r: int, n: int, k: int) -> int:
     """s(2^r * n + k) for 0 <= k <= 2^r, without forming the full index.
 
     Uses the block identity s(2^r n + k) = s(2^r - k)s(n) + s(k)s(n+1).
+    r is bounded by the bit cap.
     """
     if r < 0:
         raise ValueError("block exponent must be nonnegative")
+    _check_bits(r, "block exponent")
     if not 0 <= k <= (1 << r):
         raise ValueError(f"offset k={k} outside [0, 2^{r}]")
     sn, sn1 = stern_pair(n)

@@ -3,14 +3,19 @@
 Matrices are lists of row lists; polynomials are coefficient lists in
 ascending degree order, the zero polynomial being the empty list.  All
 entries are integers: division is by monic divisors, and gcds are taken
-mod a prime and certified by exact division over Z.  The dense matrix
-functions are the oracle for `verify` and the tests.
+mod one prime after another of a fixed ladder until exact division over
+Z certifies one.  The dense matrix functions are the oracle for `verify`
+and the tests.
 """
 
 from .core import ResourceLimitError
 
-# the prime of the Berlekamp-Massey terms in `moddist` and of the gcds here
-_KRYLOV_PRIME = (1 << 521) - 1
+# The Mersenne primes of the Berlekamp-Massey terms in `moddist` and of
+# the gcds here, tried in turn until the exact certificate holds.  A
+# monic integer polynomial of degree L with every root in |z| <= 2 has
+# |coefficients| <= 3^L, and the last prime exceeds 2 * 3^4096, so it
+# lifts every factor of mu_M under the matrix cap of `moddist`.
+_PRIME_LADDER = tuple((1 << e) - 1 for e in (521, 1279, 2203, 4423, 9689))
 
 
 def identity(n: int) -> list[list[int]]:
@@ -82,22 +87,23 @@ def poly_divmod(f, g):
 def poly_gcd(f, g):
     """Monic gcd of integer polynomials f and g, f monic.
 
-    Euclid runs mod p = 2^521 - 1; its monic result h, lifted to
-    symmetric residues, has deg h >= deg gcd, as the gcd over Q is
-    integral (Gauss) and divides f and g mod p.  So h dividing f and g
-    over Z proves h = gcd; a failed proof raises ResourceLimitError.
+    Euclid runs mod each prime p of _PRIME_LADDER in turn; its monic
+    result h, lifted to symmetric residues, has deg h >= deg gcd, as the
+    gcd over Q is integral (Gauss) and divides f and g mod p.  So h
+    dividing f and g over Z proves h = gcd; when no prime gives a proof,
+    ResourceLimitError is raised.
     """
-    p = _KRYLOV_PRIME
-    a, b = f, poly_trim([c % p for c in g])
-    while b:  # each step divides by b made monic mod p
-        inv = pow(b[-1], -1, p)
-        b = [c * inv % p for c in b]
-        a, b = b, poly_trim([c % p for c in poly_divmod(a, b)[1]])
-    h = _symmetric_lift([c % p for c in a], p)
-    if poly_divmod(f, h)[1] or poly_divmod(g, h)[1]:
-        raise ResourceLimitError(
-            f"modular gcd of degree {len(h) - 1} failed its certificate")
-    return h
+    for p in _PRIME_LADDER:
+        a, b = f, poly_trim([c % p for c in g])
+        while b:  # each step divides by b made monic mod p
+            inv = pow(b[-1], -1, p)
+            b = [c * inv % p for c in b]
+            a, b = b, poly_trim([c % p for c in poly_divmod(a, b)[1]])
+        h = _symmetric_lift([c % p for c in a], p)
+        if not (poly_divmod(f, h)[1] or poly_divmod(g, h)[1]):
+            return h
+    raise ResourceLimitError(
+        f"modular gcd of degree {len(h) - 1} failed its certificate")
 
 
 def squarefree_factors(f):

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .core import (DEFAULT_TABLE_CAP, ResourceLimitError, _check_bits,
                    _check_work)
-from .exactalg import (_KRYLOV_PRIME, _symmetric_lift, poly_divmod,
+from .exactalg import (_PRIME_LADDER, _symmetric_lift, poly_divmod,
                        poly_eval, poly_gcd, squarefree_factors)
 
 DEFAULT_MATRIX_CAP = 4096
@@ -288,11 +288,13 @@ def count_block(d: int, gamma: ResiduePair, U1: int, U2: int) -> int:
     """Occurrences of the pair gamma among S_d(n), U1 <= n < U2.
 
     Oracle-grade direct scan; each index is evaluated independently by
-    the bit scan, so the cost is O((U2 - U1) log U2).
+    the bit scan, so the cost is O((U2 - U1) log U2), bounded by the
+    work cap.
     """
     _check_modulus(d)
     if U1 < 0 or U1 >= U2:
         raise ValueError("need 0 <= U1 < U2")
+    _check_work((U2 - U1) * U2.bit_length(), d.bit_length(), "bit scans")
     return sum(1 for m in range(U1, U2) if s_mod_pair(m, d) == gamma)
 
 
@@ -366,18 +368,33 @@ def minimal_polynomial(d: int,
                        max_order: int = DEFAULT_MATRIX_CAP) -> IntPolynomial:
     """Monic minimal polynomial mu_M of the adjacency matrix, ascending.
 
-    Berlekamp-Massey (Massey 1969) on the 2 N_d terms x M^k y^T mod
-    2^521 - 1, x and y seeded by d (Wiedemann 1986), gives a monic f
-    with deg f <= deg mu_M in symmetric residues.  The unit scalings
+    Berlekamp-Massey (Massey 1969) on the 2 N_d terms x M^k y^T mod a
+    prime p, x and y seeded by d (Wiedemann 1986), gives a monic f with
+    deg f <= deg mu_M in symmetric residues.  The unit scalings
     (i, j) -> (ui, uj) permute the vertices and commute with M, so the
     rows of f(M) within one orbit are permutations of each other, and
     e_v f(M) = 0 over Z for one vertex v per orbit proves mu_M | f, so
-    f = mu_M.  A failed proof raises ResourceLimitError.
+    f = mu_M.  p runs up the prime ladder of `exactalg` until the proof
+    holds; the last prime exceeds every coefficient bound under the
+    matrix cap, and a proof that fails there raises ResourceLimitError.
     """
     g = _capped_graph(d, max_order)
-    pred = _predecessors(d)
-    p = _KRYLOV_PRIME
-    rng = random.Random(d)
+    units = [u for u in range(1, d) if math.gcd(u, d) == 1]
+    reps = {min(g.index[u * i % d, u * j % d] for u in units)
+            for i, j in g.vertices}
+    for p in _PRIME_LADDER:
+        f = _berlekamp_massey(g, p)
+        if not any(any(_poly_row(g, v, f)) for v in reps):
+            return f
+    raise ResourceLimitError(
+        f"minimal polynomial mod {d} failed its certificate")
+
+
+def _berlekamp_massey(g: PairGraph, p: int) -> IntPolynomial:
+    # the monic generator of the 2 N_d terms x M^k y^T mod p, in
+    # symmetric residues, with x and y seeded by d
+    pred = _predecessors(g.d)
+    rng = random.Random(g.d)
     x = [rng.randrange(p) for _ in g.vertices]
     y = [rng.randrange(p) for _ in g.vertices]
     seq, conn, prev = [], [1], [1]  # terms; connection polynomials
@@ -398,14 +415,7 @@ def minimal_polynomial(d: int,
             conn = new
         shift += 1
     # f(z) = z^length conn(1/z); conn has degree at most length
-    f = _symmetric_lift((conn + [0] * length)[length::-1], p)
-    units = [u for u in range(1, d) if math.gcd(u, d) == 1]
-    reps = {min(g.index[u * i % d, u * j % d] for u in units)
-            for i, j in g.vertices}
-    if any(any(_poly_row(g, v, f)) for v in reps):
-        raise ResourceLimitError(
-            f"minimal polynomial mod {d} failed its certificate")
-    return f
+    return _symmetric_lift((conn + [0] * length)[length::-1], p)
 
 
 class RootValue(NamedTuple):

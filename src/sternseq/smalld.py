@@ -14,6 +14,7 @@ from itertools import accumulate, islice
 
 from .core import (DEFAULT_TABLE_CAP, ResourceLimitError, _check_bits,
                    _check_work, stern_table)
+from .exactalg import mat_pow
 from .moddist import _pair_census, graph, s_mod_pair
 
 #: largest limit of a3_enumerate, which holds members, not a table
@@ -143,19 +144,16 @@ def a3_enumerate(limit: int) -> list[int]:
 def a3_row_count(r: int) -> int:
     """Count of n in [2^r, 2^(r+1)) with 3 | s(n).
 
-    Runs the recurrence a_r = a_{r-1} + 4 a_{r-3} from seeds
-    a_0 = a_1 = 0, a_2 = 2.
+    The recurrence a_r = a_{r-1} + 4 a_{r-3} from seeds a_0 = a_1 = 0,
+    a_2 = 2, as one power of its companion matrix A: (a_r, a_{r-1},
+    a_{r-2}) is A^(r-2) (2, 0, 0), in O(log r) 3 x 3 products.
     """
     if r < 0:
         raise ValueError("row exponent must be nonnegative")
     _check_bits(r, "row exponent")
-    seeds = (0, 0, 2)
-    if r < 3:
-        return seeds[r]
-    a0, a1, a2 = seeds
-    for _ in range(r - 2):
-        a0, a1, a2 = a1, a2, a2 + 4 * a0
-    return a2
+    if r < 2:
+        return 0
+    return 2 * mat_pow([[1, 0, 4], [1, 0, 0], [0, 1, 0]], r - 2)[0][0]
 
 
 def a3_row_count_closed(r: int) -> int:

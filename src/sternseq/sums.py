@@ -3,8 +3,10 @@
 Rows sum exactly: the 2^r ratios of row r add to (3/2) 2^r - 1/2, and
 the full prefix up to 2^r adds to (3/2) 2^r - (r+3)/2.  General prefix
 sums are pinned between 3N/2 - (r^2 + 7r + 6)/4 and 3N/2 - 1/2 where
-2^r <= N < 2^(r+1); the float path uses exact compensated summation so
-its stated error bound is honest.  alpha_estimate generalises the mean
+2^r <= N < 2^(r+1).  The exact path gathers the numerators of each
+denominator s(n+1) in one pass and divides once by the lcm of the
+distinct denominators; the float path uses exact compensated summation
+so its stated error bound is honest.  alpha_estimate generalises the mean
 to the lag-t ratios s(n)/s(n+t); only t = 1 has a proven limit, so the
 estimates are labeled empirical.
 """
@@ -69,25 +71,23 @@ def _ratio_fsum(table, count, shift):
                          islice(table, shift, shift + count)))
 
 
-def _pairwise_fraction_sum(terms) -> Fraction:
-    # balanced merging keeps intermediate denominators small
-    items = list(terms)
-    if not items:
-        return Fraction(0)
-    while len(items) > 1:
-        merged = [a + b for a, b in zip(items[0::2], items[1::2])]
-        if len(items) % 2:
-            merged.append(items[-1])
-        items = merged
-    return items[0]
+def _ratio_exact(table, count) -> Fraction:
+    # exact sum of table[n] / table[n + 1] over n < count: numerators
+    # gathered per denominator, then one fraction over their lcm
+    num = {}
+    for a, b in zip(islice(table, count), islice(table, 1, count + 1)):
+        num[b] = num.get(b, 0) + a
+    D = math.lcm(*num)
+    return Fraction(sum(a * (D // b) for b, a in num.items()), D)
 
 
 def t_prefix_sum(N: int, mode: str = "exact") -> SumReport:
     """Sum of t(n) over n < N, exact and/or compensated float.
 
     mode "exact" computes the exact Fraction (N <= DEFAULT_EXACT_CAP)
-    and the float alongside; mode "float" skips the exact value, so any
-    N within the table cap works.
+    as one fraction over the lcm of the denominators s(1..N), and the
+    float alongside; mode "float" skips the exact value, so any N
+    within the table cap works.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -102,8 +102,7 @@ def t_prefix_sum(N: int, mode: str = "exact") -> SumReport:
     bound = 2 * sys.float_info.epsilon * float_sum
     exact = None
     if mode == "exact":
-        exact = _pairwise_fraction_sum(
-            Fraction(table[n], table[n + 1]) for n in range(N))
+        exact = _ratio_exact(table, N)
     low, high = theorem_bounds(N)
     return SumReport(N, exact, float_sum, bound, low, high)
 

@@ -52,6 +52,32 @@ def delta3_scan(N):
     return out
 
 
+def pairwise_fraction_sum(terms):
+    """Sum of Fractions merged pairwise in a balanced tree, which keeps
+    the intermediate denominators small."""
+    items = list(terms)
+    if not items:
+        return Fraction(0)
+    while len(items) > 1:
+        merged = [a + b for a, b in zip(items[0::2], items[1::2])]
+        if len(items) % 2:
+            merged.append(items[-1])
+        items = merged
+    return items[0]
+
+
+def a3_row_recurrence(r):
+    """a_r by r - 2 steps of a_r = a_{r-1} + 4 a_{r-3} from the seeds
+    a_0 = a_1 = 0, a_2 = 2."""
+    seeds = (0, 0, 2)
+    if r < 3:
+        return seeds[r]
+    a0, a1, a2 = seeds
+    for _ in range(r - 2):
+        a0, a1, a2 = a1, a2, a2 + 4 * a0
+    return a2
+
+
 def insertion_row(r, a, b):
     """Row r of the diatomic array grown by literal insertion.
 

@@ -12,7 +12,8 @@ from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
-from oracles import count_digit_strings, product_coefficients
+from oracles import (count_digit_strings, pairwise_fraction_sum,
+                     product_coefficients)
 from sternseq import (a3_row_count, a3_row_count_closed, adjacency,
                       alpha_estimate, count_T, delta3_classify, delta3_trace,
                       dist_table, graph, hyperbinary, index_of_rational,
@@ -22,7 +23,6 @@ from sternseq import (a3_row_count, a3_row_count_closed, adjacency,
                       to_odd_cfrac, walk_counts)
 from sternseq.cli import run as cli_run
 from sternseq.moddist import _poly_row
-from sternseq.sums import _pairwise_fraction_sum
 
 ADJ3 = [
     [1, 0, 0, 1, 0, 0, 0, 0],
@@ -183,13 +183,13 @@ def test_criterion_10_average_value(capsys):
         acc, prev = Fraction(0), 0
         for N in targets:
             if N > prev:
-                acc += _pairwise_fraction_sum(ratios(prev, N))
+                acc += pairwise_fraction_sum(ratios(prev, N))
                 prev = N
             low, high = theorem_bounds(N)
             assert low <= acc < high
         running = Fraction(0)
         for r in range(13):
-            direct = _pairwise_fraction_sum(ratios(1 << r, 2 << r))
+            direct = pairwise_fraction_sum(ratios(1 << r, 2 << r))
             assert row_sum(r) == direct
             assert prefix_row_sum(r) == running
             running += direct

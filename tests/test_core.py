@@ -138,6 +138,18 @@ def test_block_entry_identity(r, n, k):
     assert stern_block(r, n, k) == stern((n << r) + k)
 
 
+def test_block_exponent_cap(monkeypatch):
+    """A block exponent past the bit cap is rejected before 2^r is
+    built or any value is scanned."""
+    def no_scan(n):
+        raise AssertionError("scanned an index")
+
+    monkeypatch.setattr(sternseq.core, "stern_pair", no_scan)
+    monkeypatch.setattr(sternseq.core, "stern", no_scan)
+    with pytest.raises(ResourceLimitError, match="bit cap"):
+        stern_block(DEFAULT_DIGIT_CAP + 1, 1, 0)
+
+
 @given(st.integers(min_value=1, max_value=1 << 48))
 def test_block_decompose_tiles_the_prefix(N):
     blocks = block_decompose(N)

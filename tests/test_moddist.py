@@ -15,8 +15,8 @@ from mpmath import mp
 from oracles import (dense_minimal_polynomial, pair_histogram, polyroots,
                      product_density, product_index_I, residue_counts,
                      yun_squarefree_factors)
-from sternseq import (DEFAULT_DIGIT_CAP, ResourceLimitError, adjacency,
-                      count_T, count_block, density, dist_table,
+from sternseq import (DEFAULT_DIGIT_CAP, DEFAULT_WORK_CAP, ResourceLimitError,
+                      adjacency, count_T, count_block, density, dist_table,
                       feasible_pairs, graph, graph_export, index_I,
                       left_step, minimal_polynomial, pair_counts,
                       right_step, s_mod_pair, spectral, stern, stern_pair,
@@ -192,6 +192,18 @@ def test_walk_counts_against_block_scan():
                            for pos, v in enumerate(g.vertices))
 
 
+def test_count_block_work_cap(monkeypatch):
+    """A range whose bit scans exceed the work cap is rejected before
+    any index is scanned."""
+    def no_scan(n, d):
+        raise AssertionError("scanned an index")
+
+    monkeypatch.setattr(sternseq.moddist, "s_mod_pair", no_scan)
+    for lo, hi in ((0, DEFAULT_WORK_CAP), (1 << 80, (1 << 80) + (1 << 16))):
+        with pytest.raises(ResourceLimitError, match="work cap"):
+            count_block(3, (1, 2), lo, hi)
+
+
 def test_count_block_matches_direct_scan(table16_mod3):
     lo, hi = 300, 700
     want = sum(1 for n in range(lo, hi)
@@ -348,13 +360,13 @@ def test_minimal_polynomial_certificate_rejects_a_divisor(d, monkeypatch):
 
 
 def test_minimal_polynomial_certificate_survives_optimize():
-    """Under python -O a Krylov prime too small for the coefficients
+    """Under python -O a prime ladder too small for the coefficients
     still fails the exact certificate instead of returning a wrong
     polynomial; coefficients below half the prime still pass."""
     src = (
         "import sys\n"
         "from sternseq import ResourceLimitError, moddist\n"
-        "moddist._KRYLOV_PRIME = 1009\n"
+        "moddist._PRIME_LADDER = (1009,)\n"
         "try:\n"
         "    moddist.minimal_polynomial(8)\n"  # largest |coefficient| 512
         "except ResourceLimitError:\n"
@@ -367,6 +379,27 @@ def test_minimal_polynomial_certificate_survives_optimize():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["raised", "0 4 -4 1 -2 1", "1"]
+
+
+def test_minimal_polynomial_climbs_the_prime_ladder(monkeypatch):
+    """A first prime too small for the 27-bit coefficients at d = 13
+    fails the certificate, and the next prime gives mu_M."""
+    want = minimal_polynomial(13)
+    assert max(abs(c) for c in want).bit_length() > 17
+    ladder = sternseq.moddist._PRIME_LADDER
+    monkeypatch.setattr(sternseq.moddist, "_PRIME_LADDER",
+                        ((1 << 17) - 1,) + ladder[1:])
+    assert minimal_polynomial(13) == want
+
+
+def test_gcd_climbs_the_prime_ladder(monkeypatch):
+    """(z - 600)^2 (z + 1): mod 1009 the gcd lifts to z + 409 and fails
+    its certificate, so the next prime gives z - 600."""
+    ladder = sternseq.exactalg._PRIME_LADDER
+    monkeypatch.setattr(sternseq.exactalg, "_PRIME_LADDER",
+                        (1009,) + ladder)
+    assert squarefree_factors([360000, 358800, -1199, 1]) == [
+        ([1, 1], 1), ([-600, 1], 2)]
 
 
 def _poly_mul(f, g):
@@ -409,12 +442,13 @@ def test_squarefree_factors_on_minimal_polynomials():
 
 
 def test_gcd_certificate_survives_optimize():
-    """Under python -O a gcd prime too small for the factors still fails
-    the exact division certificate; small factors still pass."""
+    """Under python -O a gcd prime ladder too small for the factors
+    still fails the exact division certificate; small factors still
+    pass."""
     src = (
         "import sys\n"
         "from sternseq import ResourceLimitError, exactalg, moddist\n"
-        "exactalg._KRYLOV_PRIME = 1009\n"
+        "exactalg._PRIME_LADDER = (1009,)\n"
         "try:\n"
         # (z - 600)^2 (z + 1): the gcd z - 600 lifts to z + 409 mod 1009
         "    exactalg.squarefree_factors([360000, 358800, -1199, 1])\n"

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sternseq
-from oracles import (count_digit_strings, delta3_scan, naive_stern,
-                     product_coefficients)
+from oracles import (a3_row_recurrence, count_digit_strings, delta3_scan,
+                     naive_stern, product_coefficients)
 from sternseq import (DEFAULT_DIGIT_CAP, DEFAULT_TABLE_CAP, MU,
                       ResourceLimitError, Sqrt7Complex, a3_enumerate,
                       a3_member, a3_row_count, a3_row_count_closed, count_T,
@@ -81,6 +81,13 @@ def test_a3_row_count_scan_and_closed_form(table16_mod3):
 
 def test_a3_row_count_seeds():
     assert [a3_row_count(r) for r in range(6)] == [0, 0, 2, 2, 2, 10]
+
+
+def test_a3_row_count_matches_recurrence_loop():
+    """The matrix power equals r - 2 steps of the recurrence, for every
+    small r and for rows thousands of steps out."""
+    for r in [*range(301), 6144, 7167, 1 << 16]:
+        assert a3_row_count(r) == a3_row_recurrence(r)
 
 
 def test_t3_zero_closed_matches_count(table16_mod3):

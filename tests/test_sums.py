@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import pairwise_fraction_sum
 from sternseq import (DEFAULT_EXACT_CAP, DEFAULT_TABLE_CAP,
                       ResourceLimitError, SumReport, alpha_estimate,
                       prefix_row_sum, row_sum, stern_ratio, t_prefix_sum,
                       theorem_bounds)
-from sternseq.sums import _pairwise_fraction_sum, _ratio_fsum
+from sternseq.sums import _ratio_exact, _ratio_fsum
 
 
 def direct_row_sum(r):
@@ -61,7 +62,7 @@ def test_t_prefix_sum_exact_golden():
 
 def test_t_prefix_sum_exact_vs_pairwise():
     for N in (1, 2, 100, 4096):
-        want = _pairwise_fraction_sum(
+        want = pairwise_fraction_sum(
             [stern_ratio(n) for n in range(N)])
         assert t_prefix_sum(N).exact_sum == want
 
@@ -120,4 +121,15 @@ def test_alpha_estimate_rejects_bad_input():
 
 @given(st.lists(st.fractions(min_value=0, max_value=10), max_size=40))
 def test_pairwise_sum_is_plain_sum(terms):
-    assert _pairwise_fraction_sum(terms) == sum(terms, Fraction(0))
+    assert pairwise_fraction_sum(terms) == sum(terms, Fraction(0))
+
+
+@given(st.integers(0, 20), st.lists(st.integers(1, 12), max_size=40))
+def test_ratio_exact_is_plain_sum(head, tail):
+    """Small denominators repeat, so several numerators share one slot
+    of the lcm; every count from 0 to the end of the table is summed."""
+    table = [head] + tail
+    for count in range(len(table)):
+        want = sum((Fraction(table[n], table[n + 1]) for n in range(count)),
+                   Fraction(0))
+        assert _ratio_exact(table, count) == want
