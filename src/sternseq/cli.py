@@ -62,8 +62,14 @@ def _h_ratio(a):
             {"num": str(x.numerator), "den": str(x.denominator)}, [_frac(x)])
 
 
+def _p_over_q(a) -> Fraction:
+    if a.q == 0:
+        raise ValueError(f"denominator q must be nonzero, got {a.p}/0")
+    return Fraction(a.p, a.q)
+
+
 def _h_index(a):
-    n = index_of_rational(Fraction(a.p, a.q))
+    n = index_of_rational(_p_over_q(a))
     return ({"p": str(a.p), "q": str(a.q)}, {"index": str(n)}, [str(n)])
 
 
@@ -86,7 +92,7 @@ def _h_brocot(a):
 
 
 def _h_minkowski(a):
-    y = minkowski_q(Fraction(a.p, a.q))
+    y = minkowski_q(_p_over_q(a))
     return ({"p": str(a.p), "q": str(a.q)},
             {"numerator": str(y.numerator), "exponent": y.exponent},
             [f"{y.numerator}/{1 << y.exponent}"])

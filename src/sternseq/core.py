@@ -13,7 +13,7 @@ pairs.
 
 from fractions import Fraction
 from itertools import repeat
-from operator import add, mod as _mod
+from operator import add, mod as _mod, mul
 from typing import NamedTuple
 
 #: largest index of a table of s(n); every O(N) path builds one
@@ -111,9 +111,9 @@ def stern_table(limit: int, mod: int | None = None) -> list[int]:
     the even places and s(2n+1) = s(n) + s(n+1) maps `add` over it onto
     the odd ones.  Each slice reads at most _CHUNK + 1 values, all of
     row r or the preset s(2^(r+1)), so no whole-row temporary is made.
-    The workhorse behind every large scan in the package, and the one
-    place their size is checked: limit > DEFAULT_TABLE_CAP raises
-    ResourceLimitError before anything is allocated.
+    The workhorse behind every large scan in the package: limit >
+    DEFAULT_TABLE_CAP raises ResourceLimitError before anything is
+    allocated.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
@@ -140,6 +140,29 @@ def stern_table(limit: int, mod: int | None = None) -> list[int]:
         vals[2 * lo + 1:2 * (lo + k):2] = odds
         lo = hi
     return vals
+
+
+def stern_row_head(r: int, count: int) -> list[int]:
+    """s(2^r + k) for 0 <= k <= count <= 2^r, from a table of only
+    2^m + count entries, m = min(bit_length(count), r).
+
+    The block identity s(2^r + k) = s(2^r - k) + s(k) and the row's
+    reflection s(2^r - k) = s(2^(r-1) + k) give s(2^r + k) =
+    s(2^(r-1) + k) + s(k) while k <= 2^(r-1); repeated down to row m,
+    s(2^r + k) = (r - m) s(k) + s(2^m + k).  When m = r this is a plain
+    slice of the table.
+    """
+    if r < 0:
+        raise ValueError("row exponent must be nonnegative")
+    if not 0 <= count <= 1 << min(r, count.bit_length()):
+        raise ValueError(f"count {count} outside [0, 2^{r}]")
+    m = min(count.bit_length(), r)
+    table = stern_table((1 << m) + count)
+    head = table[1 << m:]
+    if m == r:
+        return head
+    return list(map(add, head, map(mul, table[:count + 1],
+                                   repeat(r - m))))
 
 
 def diatomic_row(r: int, a: int, b: int) -> list[int]:

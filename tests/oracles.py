@@ -4,6 +4,7 @@ Everything here prefers the most literal reading of a definition over
 speed.  The package is checked against these oracles, never the other
 way around.
 """
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -36,6 +37,20 @@ def stern_table_scalar(limit, mod=None):
             if mod is not None:
                 vals[m + 1] %= mod
     return vals
+
+
+def t_prefix_sum_scan(N):
+    """(exact, fsum) of t(n) = s(n)/s(n+1) over n < N, from a table of
+    s(0..N): the exact sum gathers the numerators of each denominator
+    and makes one fraction over their lcm; the float sum is math.fsum
+    of all N rounded ratios."""
+    s = stern_table_scalar(N)
+    num = {}
+    for a, b in zip(s[:N], s[1:]):
+        num[b] = num.get(b, 0) + a
+    D = math.lcm(*num)
+    exact = Fraction(sum(a * (D // b) for b, a in num.items()), D)
+    return exact, math.fsum(a / b for a, b in zip(s[:N], s[1:]))
 
 
 def delta3_scan(N):

@@ -256,6 +256,10 @@ def test_exit_code_domain_error():
     assert code == 2 and out == "" and "domain error" in err
     code, _, err = invoke("verify", "--suite", "nope")
     assert code == 2
+    for command in ("index", "minkowski"):
+        code, out, err = invoke(command, "1", "0")
+        assert (code, out) == (2, "")
+        assert err == "domain error: denominator q must be nonzero, got 1/0\n"
 
 
 def test_exit_code_resource_limit():

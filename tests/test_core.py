@@ -12,6 +12,7 @@ from sternseq import (DEFAULT_DIGIT_CAP, DEFAULT_TABLE_CAP,
                       ResourceLimitError, SternPair, block_decompose,
                       diatomic_row, stern, stern_block, stern_pair,
                       stern_ratio, stern_table)
+from sternseq.core import stern_row_head
 
 # first seventeen values, computable by hand from the recurrence
 PREFIX = [0, 1, 1, 2, 1, 3, 2, 3, 1, 4, 3, 5, 2, 5, 3, 4, 1]
@@ -84,6 +85,26 @@ def test_mirror_symmetry_within_rows(table16):
     for r in range(1, 16):
         for k in range(0, (1 << r) + 1, max(1, (1 << r) // 64)):
             assert table16[(1 << r) + k] == table16[(1 << (r + 1)) - k]
+
+
+def test_row_head_matches_scalar_table():
+    """Counts from 0 to the whole row, so both the reduction to row
+    m < r and the plain table slice (m = r) are compared."""
+    want = stern_table_scalar(1 << 15)
+    for r in range(15):
+        counts = {0, 1, 1 << max(r - 1, 0)}
+        counts |= {c for j in range(r + 1) for c in ((1 << j) - 1, 1 << j)}
+        for count in sorted(counts):
+            assert (stern_row_head(r, count)
+                    == want[1 << r:(1 << r) + count + 1]), (r, count)
+
+
+def test_row_head_rejects_counts_outside_the_row():
+    for r, count in ((0, 2), (3, 9), (5, 33), (4, -1)):
+        with pytest.raises(ValueError, match="outside"):
+            stern_row_head(r, count)
+    with pytest.raises(ValueError, match="nonnegative"):
+        stern_row_head(-1, 0)
 
 
 def test_ratio_recurrences():

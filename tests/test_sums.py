@@ -1,12 +1,14 @@
 """Row sums and prefix sums of the ratio sequence, exact and float."""
 import math
+import re
 import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import pairwise_fraction_sum
+from oracles import pairwise_fraction_sum, t_prefix_sum_scan
+import sternseq
 from sternseq import (DEFAULT_EXACT_CAP, DEFAULT_TABLE_CAP,
                       ResourceLimitError, SumReport, alpha_estimate,
                       prefix_row_sum, row_sum, stern_ratio, t_prefix_sum,
@@ -67,6 +69,35 @@ def test_t_prefix_sum_exact_vs_pairwise():
         assert t_prefix_sum(N).exact_sum == want
 
 
+# 2^r - 1, 2^r, 2^r + 1 and 3 * 2^(r-1) +- 1: both sides of a row
+# edge and of a row's middle, where the head gives way to the complement
+ROW_EDGES = sorted({N for r in range(1, 17)
+                    for N in ((1 << r) - 1, 1 << r, (1 << r) + 1,
+                              3 * (1 << (r - 1)) - 1, 3 * (1 << (r - 1)) + 1)})
+
+
+def check_against_scan(N):
+    exact, fsum = t_prefix_sum_scan(N)
+    rep = t_prefix_sum(N)
+    assert rep.exact_sum == exact
+    assert abs(Fraction(rep.float_sum) - exact) <= Fraction(
+        rep.float_error_bound)
+    assert abs(rep.float_sum - fsum) <= math.ulp(fsum)
+    assert t_prefix_sum(N, mode="float").float_sum == rep.float_sum
+    assert alpha_estimate(1, N) == rep.float_sum / N
+
+
+@settings(deadline=None)
+@given(st.integers(1, 1 << 13))
+def test_prefix_sum_matches_full_table_scan(N):
+    check_against_scan(N)
+
+
+@pytest.mark.parametrize("N", ROW_EDGES)
+def test_prefix_sum_matches_full_table_scan_at_row_edges(N):
+    check_against_scan(N)
+
+
 def test_float_tracks_exact_within_bound():
     for k in range(4, 17, 4):
         rep = t_prefix_sum(1 << k)
@@ -92,6 +123,23 @@ def test_exact_cap():
         t_prefix_sum(DEFAULT_TABLE_CAP + 1, mode="float")
     with pytest.raises(ResourceLimitError, match="table cap"):
         alpha_estimate(2, DEFAULT_TABLE_CAP)
+
+
+def test_caps_fire_before_any_table(monkeypatch):
+    """Lag-1 sums build no table of N, so they check the caps
+    themselves, with the table's own message."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("stern_table called past a cap")
+    monkeypatch.setattr(sternseq.core, "stern_table", no_table)
+    monkeypatch.setattr(sternseq.sums, "stern_table", no_table)
+    N = DEFAULT_TABLE_CAP + 1
+    table_msg = re.escape(f"table of s(n) to n = {N} exceeds the table cap")
+    with pytest.raises(ResourceLimitError, match=table_msg):
+        t_prefix_sum(N, mode="float")
+    with pytest.raises(ResourceLimitError, match=table_msg):
+        alpha_estimate(1, N)
+    with pytest.raises(ResourceLimitError, match="exceeds cap"):
+        t_prefix_sum(DEFAULT_EXACT_CAP + 1)
 
 
 def test_mode_validation():
