@@ -18,8 +18,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--d-min", type=int, default=2)
     ap.add_argument("--d-max", type=int, default=12)
-    ap.add_argument("--digits", type=int, default=40,
-                    help="working precision for root refinement")
     return ap.parse_args(argv)
 
 
@@ -27,7 +25,7 @@ def main(args: argparse.Namespace) -> None:
     print("d\tN_d\tI_d\tdeg\trho\ttau\tsigma\twall_s", flush=True)
     for d in range(args.d_min, args.d_max + 1):
         start = time.perf_counter()
-        rep = spectral(d, digits=args.digits)
+        rep = spectral(d)
         wall = time.perf_counter() - start
         print(f"{d}\t{len(graph(d).vertices)}\t{index_I(d)}\t"
               f"{len(rep.minimal_poly) - 1}\t{rep.rho:.12f}\t"

@@ -21,8 +21,8 @@ from .moddist import (DEFAULT_MATRIX_CAP, DistTable, IntMatrix,
                       feasible_pairs, graph, graph_export, index_I,
                       left_step, minimal_polynomial, pair_counts,
                       right_step, s_mod_pair, spectral, walk_counts)
-from .smalld import (DEFAULT_ENUM_CAP, MU, Sqrt7Complex, a3_enumerate,
-                     a3_member, a3_row_count, a3_row_count_closed, delta3,
+from .smalld import (DEFAULT_ENUM_CAP, a3_enumerate, a3_member,
+                     a3_row_count, a3_row_count_closed, delta3,
                      delta3_classify, delta3_trace, even_stern_index,
                      hyperbinary, t3_zero_closed)
 from .sums import (DEFAULT_EXACT_CAP, SumReport, alpha_estimate,

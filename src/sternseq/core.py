@@ -31,7 +31,10 @@ class ResourceLimitError(Exception):
 
 
 def _check_bits(bits: int, what: str):
-    """Raise ResourceLimitError when bits exceeds DEFAULT_DIGIT_CAP."""
+    """Raise ValueError when bits is negative and ResourceLimitError
+    when it exceeds DEFAULT_DIGIT_CAP."""
+    if bits < 0:
+        raise ValueError(f"{what} must be nonnegative")
     if bits > DEFAULT_DIGIT_CAP:
         raise ResourceLimitError(f"{what} {bits} exceeds the bit cap "
                                  f"{DEFAULT_DIGIT_CAP}")
@@ -171,12 +174,15 @@ def diatomic_row(r: int, a: int, b: int) -> list[int]:
     Grown by the insertion rule: r times, keep the row on the even
     places and write the sum of each adjacent pair between them.  Entry
     k (0 <= k <= 2^r) then equals s(2^r - k)*a + s(k)*b, which tests
-    verify.  Rows up to r = 22 fit the table cap.
+    verify.  Rows up to r = 22 fit the table cap.  The entries are
+    at most 2^r max(|a|, |b|); the work cap counts one step per 30-bit
+    word of each, so it bounds the row's memory and, with its charge
+    per 8192 bits, the quadratic cost of writing the row in decimal.
     """
-    if r < 0:
-        raise ValueError("row exponent must be nonnegative")
     _check_bits(r, "row exponent")
     _check_table(1 << r)
+    bits = max(a.bit_length(), b.bit_length()) + r
+    _check_work((1 << r) * (1 + bits // 30), bits, "row entries")
     row = [a, b]
     for _ in range(r):
         new = [0] * (2 * len(row) - 1)
@@ -192,8 +198,6 @@ def stern_block(r: int, n: int, k: int) -> int:
     Uses the block identity s(2^r n + k) = s(2^r - k)s(n) + s(k)s(n+1).
     r is bounded by the bit cap.
     """
-    if r < 0:
-        raise ValueError("block exponent must be nonnegative")
     _check_bits(r, "block exponent")
     if not 0 <= k <= (1 << r):
         raise ValueError(f"offset k={k} outside [0, 2^{r}]")

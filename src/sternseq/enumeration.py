@@ -160,8 +160,6 @@ def brocot_row(r: int):
     Entries strictly increase from 0/1 to the distinguished INFINITY
     value at k = 2^r.  Rows up to r = 22 fit the table cap.
     """
-    if r < 0:
-        raise ValueError("row exponent must be nonnegative")
     _check_bits(r, "row exponent")
     half = 1 << r
     s = stern_table(half)

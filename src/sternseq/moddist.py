@@ -39,6 +39,8 @@ DEFAULT_MATRIX_CAP = 4096
 # rho(29) is about 1.5822
 _SEED_RADIUS = 1.6
 _SWEEPS = 100
+# the roots of spectral are certified to radius 10^-_DIGITS
+_DIGITS = 40
 
 ResiduePair = tuple[int, int]
 IntMatrix = list[list[int]]
@@ -211,8 +213,6 @@ def walk_counts(d: int, r: int,
     additions.  Entries reach 2^r, so no carry crosses a field, r is
     bounded by the bit cap, and the N_d^2 (r + 1) additions of r-bit
     entries by the work cap."""
-    if r < 0:
-        raise ValueError("walk length must be nonnegative")
     _check_bits(r, "walk length")
     g = _capped_graph(d, max_order)
     n = len(g.vertices)
@@ -629,8 +629,7 @@ def _log2(x: Fraction, bits: int) -> Fraction:
     return e + Fraction(frac, 1 << bits)
 
 
-def spectral(d: int, max_order: int = DEFAULT_MATRIX_CAP,
-             digits: int = 40) -> SpectralReport:
+def spectral(d: int, max_order: int = DEFAULT_MATRIX_CAP) -> SpectralReport:
     """Roots of the minimal polynomial with the derived decay data.
 
     The root 2 (which must be simple, else ValueError) and the roots at
@@ -638,7 +637,7 @@ def spectral(d: int, max_order: int = DEFAULT_MATRIX_CAP,
     split by the exact gcd h of g(z) and g(-z), whose roots are closed
     under z -> -z, so that pure imaginary roots are recognised; the
     roots of h and g / h come with disjoint inclusion disks of radius
-    below 10^-digits (see _certified_roots; NonConvergenceError when
+    below 10^-_DIGITS (see _certified_roots; NonConvergenceError when
     the certificate fails).  Each residual is |mu_M(z)| at the centre
     plus the error bound of its fixed-point evaluation.  rho is the
     largest modulus among the roots other than 2, sigma + 1 the largest
@@ -668,7 +667,7 @@ def spectral(d: int, max_order: int = DEFAULT_MATRIX_CAP,
         for part in (even, poly_divmod(factor, even)[0]):
             if len(part) == 1:
                 continue
-            S, disks = _certified_roots(part, digits)
+            S, disks = _certified_roots(part, _DIGITS)
             one = 1 << S
             for a, b, r in disks:
                 # deg more bits keep the error bound, which grows like
@@ -686,8 +685,8 @@ def spectral(d: int, max_order: int = DEFAULT_MATRIX_CAP,
     if top > 1:
         # round log2 at half the working digits before the one
         # rounding to float, which makes tau = 1/2 at d = 3 exact
-        log2_top = _log2(top, math.ceil(digits * math.log2(10)))
-        tau = float(round(log2_top, digits // 2))
+        log2_top = _log2(top, math.ceil(_DIGITS * math.log2(10)))
+        tau = float(round(log2_top, _DIGITS // 2))
     return SpectralReport(d, tuple(f), float(top), mult - 1, mult, tau,
                           tuple(roots))
 

@@ -2,14 +2,15 @@
 
 s(n) is even exactly when 3 | n.  The indices with 3 | s(n) form the
 closure of {0, 5, 7} under n -> 2n, 8n +- 5, 8n +- 7; their per-row
-counts obey a three-term recurrence whose closed form lives in
-Q(sqrt(-7)), evaluated here exactly.  The difference between the two
-nonzero residue counts mod 3 stays in {0, 1, 2, 3} forever.  Finally,
-hyperbinary representation counts b(d; n) (binary with digits up to
-d - 1) tie back to the sequence through s(n) = b(3; n - 1).
+counts obey a three-term recurrence with closed forms 2^r/4 +
+c mu^r + conj(c mu^r), mu = (-1 + sqrt(-7))/2.  mu is an algebraic
+integer (mu^2 = -mu - 2), so mu^r = A + B mu with integers A and B, and
+the closed forms are evaluated in integers.  The difference between
+the two nonzero residue counts mod 3 stays in {0, 1, 2, 3} forever.
+Finally, hyperbinary representation counts b(d; n) (binary with digits
+up to d - 1) tie back to the sequence through s(n) = b(3; n - 1).
 """
 
-from fractions import Fraction
 from itertools import accumulate, islice
 
 from .core import (DEFAULT_TABLE_CAP, ResourceLimitError, _check_bits,
@@ -21,65 +22,6 @@ from .moddist import _pair_census, graph, s_mod_pair
 DEFAULT_ENUM_CAP = 1 << 24
 # residue byte -> signed step of Delta: 0 -> 0, 1 -> +1, 2 -> -1 (0xff)
 _DELTA3_STEP = bytes.maketrans(b"\x02", b"\xff")
-
-
-class Sqrt7Complex:
-    """Exact x + y*sqrt(7)*i with rational x, y.
-
-    Closed under ring operations since (sqrt(7)*i)^2 = -7; conjugation
-    negates y.  Used to evaluate the row-count closed forms without any
-    floating point.
-    """
-
-    __slots__ = ("re", "im7")
-
-    def __init__(self, re: Fraction, im7: Fraction):
-        self.re = re
-        self.im7 = im7
-
-    def __eq__(self, other):
-        if isinstance(other, Sqrt7Complex):
-            return (self.re, self.im7) == (other.re, other.im7)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.re, self.im7))
-
-    def __repr__(self):
-        return f"Sqrt7Complex({self.re!r}, {self.im7!r})"
-
-    def __add__(self, other):
-        return Sqrt7Complex(self.re + other.re, self.im7 + other.im7)
-
-    def __sub__(self, other):
-        return Sqrt7Complex(self.re - other.re, self.im7 - other.im7)
-
-    def __mul__(self, other):
-        return Sqrt7Complex(self.re * other.re - 7 * self.im7 * other.im7,
-                            self.re * other.im7 + self.im7 * other.re)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers not needed")
-        acc = Sqrt7Complex(Fraction(1), Fraction(0))
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            n >>= 1
-            if n:
-                base = base * base
-        return acc
-
-    def conjugate(self):
-        return Sqrt7Complex(self.re, -self.im7)
-
-
-#: (-1 + sqrt(7) i) / 2, the decisive non-real eigenvalue; |MU|^2 = 2.
-MU = Sqrt7Complex(Fraction(-1, 2), Fraction(1, 2))
-
-_C_ROW = Sqrt7Complex(Fraction(-7, 56), Fraction(5, 56))
-_C_PREFIX = Sqrt7Complex(Fraction(7, 56), Fraction(-1, 56))
 
 
 def even_stern_index(n: int) -> bool:
@@ -148,8 +90,6 @@ def a3_row_count(r: int) -> int:
     a_2 = 2, as one power of its companion matrix A: (a_r, a_{r-1},
     a_{r-2}) is A^(r-2) (2, 0, 0), in O(log r) 3 x 3 products.
     """
-    if r < 0:
-        raise ValueError("row exponent must be nonnegative")
     _check_bits(r, "row exponent")
     if r < 2:
         return 0
@@ -158,31 +98,44 @@ def a3_row_count(r: int) -> int:
 
 def a3_row_count_closed(r: int) -> int:
     """Same count from the closed form 2^r/4 + c mu^r + conj(c mu^r),
-    with c = (-7 + 5 sqrt(7) i)/56, evaluated exactly."""
-    if r < 0:
-        raise ValueError("row exponent must be nonnegative")
+    c = (-7 + 5 sqrt(-7))/56, in integers: with mu^r = A + B mu it is
+    (2^r - A - 2B)/4."""
     _check_bits(r, "row exponent")
-    z = _C_ROW * MU ** r
-    return _integral(Fraction(1 << r, 4) + 2 * z.re, "row count", r)
+    A, B = _mu_power(r)
+    return _integral((1 << r) - A - 2 * B, "row count", r)
 
 
 def t3_zero_closed(r: int) -> int:
     """Exact count of n < 2^r with 3 | s(n), from the closed form
-    2^r/4 + c mu^r + conj(c mu^r) + 1/2 with c = (7 - sqrt(7) i)/56."""
-    if r < 0:
-        raise ValueError("exponent must be nonnegative")
+    2^r/4 + c mu^r + conj(c mu^r) + 1/2, c = (7 - sqrt(-7))/56, in
+    integers: with mu^r = A + B mu it is (2^r + A + 2)/4."""
     _check_bits(r, "exponent")
-    z = _C_PREFIX * MU ** r
-    return _integral(Fraction(1 << r, 4) + 2 * z.re + Fraction(1, 2),
-                     "prefix zero count", r)
+    A, _ = _mu_power(r)
+    return _integral((1 << r) + A + 2, "prefix zero count", r)
 
 
-def _integral(total: Fraction, what: str, r: int) -> int:
+def _mu_power(r: int) -> tuple[int, int]:
+    # (A, B) with mu^r = A + B mu, by square-and-multiply in Z[mu]:
+    # mu^2 = -mu - 2 gives (a + b mu)(x + y mu) = (ax - 2by) +
+    # (ay + bx - by) mu
+    A, B = 1, 0
+    x, y = 0, 1
+    while r:
+        if r & 1:
+            A, B = A * x - 2 * B * y, A * y + B * x - B * y
+        r >>= 1
+        if r:
+            x, y = x * x - 2 * y * y, 2 * x * y - y * y
+    return A, B
+
+
+def _integral(four_times: int, what: str, r: int) -> int:
     # a closed form that misses an integer is wrong, not to be truncated
-    if total.denominator != 1:
-        raise ValueError(f"closed-form {what} at r={r} is {total}, "
+    count, rem = divmod(four_times, 4)
+    if rem:
+        raise ValueError(f"closed-form {what} at r={r} is {four_times}/4, "
                          "not an integer")
-    return total.numerator
+    return count
 
 
 def delta3(N: int, method: str = "auto",

@@ -44,16 +44,12 @@ class SumReport(NamedTuple):
 
 def row_sum(r: int) -> Fraction:
     """Sum of t(n) over row r (2^r <= n < 2^(r+1)): (3 * 2^r - 1) / 2."""
-    if r < 0:
-        raise ValueError("row exponent must be nonnegative")
     _check_bits(r, "row exponent")
     return Fraction(3 * (1 << r) - 1, 2)
 
 
 def prefix_row_sum(r: int) -> Fraction:
     """Sum of t(n) over n < 2^r: (3 * 2^r - r - 3) / 2."""
-    if r < 0:
-        raise ValueError("row exponent must be nonnegative")
     _check_bits(r, "row exponent")
     return _prefix_closed(r)
 

@@ -267,6 +267,9 @@ def test_exit_code_resource_limit():
     for r in ("23", "25"):
         code, out, err = invoke("row", r)
         assert code == 3 and out == "" and "resource limit" in err
+    # a 19,000-digit seed makes each entry costly to hold and to print
+    code, out, err = invoke("row", "14", "9" * 19000, "1")
+    assert code == 3 and out == "" and "work cap" in err
     for dot in ((), ("--dot",)):
         code, out, err = invoke("graph", "--d", "100",
                                 "--max-matrix-order", "10", *dot)

@@ -107,6 +107,27 @@ def test_row_head_rejects_counts_outside_the_row():
         stern_row_head(-1, 0)
 
 
+@pytest.mark.parametrize("call,what", [
+    (lambda r: diatomic_row(r, 0, 1), "row exponent"),
+    (lambda r: stern_block(r, 0, 0), "block exponent"),
+    (sternseq.brocot_row, "row exponent"),
+    (lambda r: sternseq.walk_counts(2, r), "walk length"),
+    (sternseq.a3_row_count, "row exponent"),
+    (sternseq.a3_row_count_closed, "row exponent"),
+    (sternseq.t3_zero_closed, "exponent"),
+    (sternseq.row_sum, "row exponent"),
+    (sternseq.prefix_row_sum, "row exponent"),
+])
+def test_exponent_checks(call, what):
+    """Every exponent input goes through _check_bits: a negative one is
+    a ValueError naming it, one past the bit cap a ResourceLimitError."""
+    with pytest.raises(ValueError, match=f"^{what} must be nonnegative$"):
+        call(-1)
+    with pytest.raises(ResourceLimitError,
+                       match=f"^{what} {DEFAULT_DIGIT_CAP + 1} exceeds"):
+        call(DEFAULT_DIGIT_CAP + 1)
+
+
 def test_ratio_recurrences():
     for n in range(1, 1 << 10):
         t = stern_ratio(n)
@@ -144,6 +165,11 @@ def test_row_cap(monkeypatch):
             diatomic_row(r, 0, 1)
     with pytest.raises(ResourceLimitError, match="table cap"):
         stern_table(DEFAULT_TABLE_CAP + 1)
+    # wide seeds take the work cap, one step per 30-bit word of an entry
+    with pytest.raises(ResourceLimitError, match="work cap"):
+        diatomic_row(14, 10 ** 19000, 1)
+    top = (1 << 16) - 1
+    assert len(diatomic_row(19, top, top)) == (1 << 19) + 1
     # the same boundary at a small cap, where the fitting row is cheap
     monkeypatch.setattr(sternseq.core, "DEFAULT_TABLE_CAP", 1 << 12)
     assert len(diatomic_row(12, 0, 1)) == (1 << 12) + 1

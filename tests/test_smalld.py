@@ -2,7 +2,6 @@
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,27 +10,25 @@ from hypothesis import given, settings, strategies as st
 import sternseq
 from oracles import (a3_row_recurrence, count_digit_strings, delta3_scan,
                      naive_stern, product_coefficients)
-from sternseq import (DEFAULT_DIGIT_CAP, DEFAULT_TABLE_CAP, MU,
-                      ResourceLimitError, Sqrt7Complex, a3_enumerate,
-                      a3_member, a3_row_count, a3_row_count_closed, count_T,
-                      delta3, delta3_classify, delta3_trace, even_stern_index,
+from sternseq import (DEFAULT_DIGIT_CAP, DEFAULT_TABLE_CAP,
+                      ResourceLimitError, a3_enumerate, a3_member,
+                      a3_row_count, a3_row_count_closed, count_T, delta3,
+                      delta3_classify, delta3_trace, even_stern_index,
                       hyperbinary, stern, t3_zero_closed)
 
 A3_BELOW_100 = [0, 5, 7, 10, 14, 20, 28, 33, 35, 40, 45, 47, 49, 51,
                 56, 61, 63, 66, 70, 73, 75, 80, 85, 87, 90, 94, 98]
 
 
-def test_sqrt7_arithmetic():
-    assert MU + MU.conjugate() == Sqrt7Complex(Fraction(-1), Fraction(0))
-    assert MU * MU.conjugate() == Sqrt7Complex(Fraction(2), Fraction(0))
-    assert MU ** 5 == MU * MU * MU * MU * MU
-    assert MU ** 0 == Sqrt7Complex(Fraction(1), Fraction(0))
-
-
-def test_mu_satisfies_its_quadratic():
-    # x^2 + x + 2 = 0 is the quadratic with roots mu and its conjugate
-    zero = MU * MU + MU + Sqrt7Complex(Fraction(2), Fraction(0))
-    assert zero == Sqrt7Complex(Fraction(0), Fraction(0))
+def test_mu_power_norm_and_recurrence():
+    """mu^r = A + B mu has norm A^2 - AB + 2B^2 = |mu|^(2r) = 2^r, and
+    mu^2 = -mu - 2 gives X_(r+2) = -X_(r+1) - 2 X_r for A and for B."""
+    for r in [*range(301), 6144, 7167, 1 << 16]:
+        A, B = sternseq.smalld._mu_power(r)
+        assert A * A - A * B + 2 * B * B == 1 << r
+        A1, B1 = sternseq.smalld._mu_power(r + 1)
+        A2, B2 = sternseq.smalld._mu_power(r + 2)
+        assert (A2, B2) == (-A1 - 2 * A, -B1 - 2 * B)
 
 
 def test_even_values_are_multiples_of_three(table16):
@@ -75,7 +72,7 @@ def test_a3_row_count_scan_and_closed_form(table16_mod3):
         scanned = sum(1 for n in range(1 << r, 2 << r)
                       if table16_mod3[n] == 0)
         assert a3_row_count(r) == scanned
-    for r in range(41):
+    for r in [*range(301), 6144, 7167, 1 << 16]:
         assert a3_row_count(r) == a3_row_count_closed(r)
 
 
@@ -93,7 +90,7 @@ def test_a3_row_count_matches_recurrence_loop():
 def test_t3_zero_closed_matches_count(table16_mod3):
     for r in range(15):
         assert t3_zero_closed(r) == table16_mod3[:1 << r].count(0)
-    for r in range(15, 21):
+    for r in range(15, 2049):
         assert t3_zero_closed(r) == count_T(1 << r, 3, 0)
 
 
@@ -124,16 +121,13 @@ def test_delta3_census_far_past_the_table_cap():
 
 
 def test_closed_form_checks_survive_optimize():
-    """Under python -O a wrong closed-form constant still raises
-    instead of truncating a non-integer."""
+    """Under python -O a wrong power of mu still raises instead of
+    truncating a non-integer."""
     src = (
         "import sys\n"
-        "from fractions import Fraction\n"
         "from sternseq import smalld\n"
-        "smalld._C_ROW = smalld.Sqrt7Complex(Fraction(-7, 56),"
-        " Fraction(6, 56))\n"
-        "smalld._C_PREFIX = smalld.Sqrt7Complex(Fraction(8, 56),"
-        " Fraction(-1, 56))\n"
+        "mu_power = smalld._mu_power\n"
+        "smalld._mu_power = lambda r: (mu_power(r)[0] + 1, mu_power(r)[1])\n"
         "for fn in (smalld.a3_row_count_closed, smalld.t3_zero_closed):\n"
         "    try:\n"
         "        fn(5)\n"
