@@ -4,18 +4,26 @@ Matrices are lists of row lists; polynomials are coefficient lists in
 ascending degree order, the zero polynomial being the empty list.  All
 entries are integers: division is by monic divisors, and gcds are taken
 mod one prime after another of a fixed ladder until exact division over
-Z certifies one.  The dense matrix functions are the oracle for `verify`
-and the tests.
+Z certifies one; the first, word-sized prime is entered only when a
+proven coefficient bound fits it.  The dense matrix functions are the
+oracle for `verify` and the tests.
 """
 
 from .core import ResourceLimitError
 
 # The Mersenne primes of the Berlekamp-Massey terms in `moddist` and of
-# the gcds here, tried in turn until the exact certificate holds.  A
-# monic integer polynomial of degree L with every root in |z| <= 2 has
-# |coefficients| <= 3^L, and the last prime exceeds 2 * 3^4096, so it
-# lifts every factor of mu_M under the matrix cap of `moddist`.
-_PRIME_LADDER = tuple((1 << e) - 1 for e in (521, 1279, 2203, 4423, 9689))
+# the gcds here, tried in turn until the exact certificate holds.  The
+# symmetric residues mod p lift every integer c with 2 |c| < p.  The
+# first rung, 2^89 - 1 (three 30-bit digits, so about as cheap as a
+# word-size prime), is entered only while a proven bound on the result
+# fits it: a monic integer polynomial of degree L with every root in
+# |z| <= 2 has |coefficients| <= 3^L, so Berlekamp-Massey stops there
+# once 2 * 3^L >= p (L <= 55 completes), and the gcds run there only
+# when 2 * 2^deg f * ||f||_2 < p (Landau-Mignotte).  The rungs after it
+# run in full, and the last exceeds 2 * 3^4096, so it lifts every factor
+# of mu_M under the matrix cap of `moddist`.
+_PRIME_LADDER = tuple((1 << e) - 1
+                      for e in (89, 521, 1279, 2203, 4423, 9689))
 
 
 def identity(n: int) -> list[list[int]]:
@@ -91,9 +99,13 @@ def poly_gcd(f, g):
     result h, lifted to symmetric residues, has deg h >= deg gcd, as the
     gcd over Q is integral (Gauss) and divides f and g mod p.  So h
     dividing f and g over Z proves h = gcd; when no prime gives a proof,
-    ResourceLimitError is raised.
+    ResourceLimitError is raised.  The first prime is skipped unless
+    2 * 2^deg f * ||f||_2 < p: every factor of f, so also the gcd, has
+    coefficients at most 2^deg f * ||f||_2 (Landau-Mignotte).
     """
-    for p in _PRIME_LADDER:
+    for rung, p in enumerate(_PRIME_LADDER):
+        if not rung and 4 ** len(f) * sum(c * c for c in f) >= p * p:
+            continue
         a, b = f, poly_trim([c % p for c in g])
         while b:  # each step divides by b made monic mod p
             inv = pow(b[-1], -1, p)
@@ -102,8 +114,10 @@ def poly_gcd(f, g):
         h = _symmetric_lift([c % p for c in a], p)
         if not (poly_divmod(f, h)[1] or poly_divmod(g, h)[1]):
             return h
+    top = max(_PRIME_LADDER, default=0).bit_length()
     raise ResourceLimitError(
-        f"modular gcd of degree {len(h) - 1} failed its certificate")
+        f"gcd with a monic polynomial of degree {len(f) - 1}: no prime of "
+        f"the ladder, up to {top} bits, certified it")
 
 
 def squarefree_factors(f):

@@ -375,24 +375,34 @@ def minimal_polynomial(d: int,
     rows of f(M) within one orbit are permutations of each other, and
     e_v f(M) = 0 over Z for one vertex v per orbit proves mu_M | f, so
     f = mu_M.  p runs up the prime ladder of `exactalg` until the proof
-    holds; the last prime exceeds every coefficient bound under the
-    matrix cap, and a proof that fails there raises ResourceLimitError.
+    holds.  The first prime is abandoned as soon as the running linear
+    complexity L has 2 * 3^L >= p, since 3^L bounds the coefficients of
+    a monic degree-L divisor of mu_M (every root has |z| <= 2).  The
+    last prime exceeds every coefficient bound under the matrix cap,
+    and when no prime gives a proof, ResourceLimitError is raised.
     """
     g = _capped_graph(d, max_order)
     units = [u for u in range(1, d) if math.gcd(u, d) == 1]
     reps = {min(g.index[u * i % d, u * j % d] for u in units)
             for i, j in g.vertices}
-    for p in _PRIME_LADDER:
-        f = _berlekamp_massey(g, p)
-        if not any(any(_poly_row(g, v, f)) for v in reps):
+    for rung, p in enumerate(_PRIME_LADDER):
+        max_len = len(g.vertices)
+        if not rung:  # the largest L with 2 * 3^L < p
+            max_len = 0
+            while 2 * 3 ** (max_len + 1) < p:
+                max_len += 1
+        f = _berlekamp_massey(g, p, max_len)
+        if f and not any(any(_poly_row(g, v, f)) for v in reps):
             return f
     raise ResourceLimitError(
-        f"minimal polynomial mod {d} failed its certificate")
+        f"minimal polynomial mod {d}: no prime of the ladder certified it")
 
 
-def _berlekamp_massey(g: PairGraph, p: int) -> IntPolynomial:
+def _berlekamp_massey(g: PairGraph, p: int,
+                      max_len: int) -> IntPolynomial | None:
     # the monic generator of the 2 N_d terms x M^k y^T mod p, in
-    # symmetric residues, with x and y seeded by d
+    # symmetric residues, with x and y seeded by d; None as soon as the
+    # linear complexity exceeds max_len
     pred = _predecessors(g.d)
     rng = random.Random(g.d)
     x = [rng.randrange(p) for _ in g.vertices]
@@ -411,6 +421,8 @@ def _berlekamp_massey(g: PairGraph, p: int) -> IntPolynomial:
                 new[pos] = (new[pos] - coef * c) % p
             if 2 * length <= k:
                 length, prev, shift = k + 1 - length, conn, 0
+                if length > max_len:
+                    return None
                 inv = pow(delta, -1, p)
             conn = new
         shift += 1

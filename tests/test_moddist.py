@@ -1,6 +1,7 @@
 """Residue-pair walk graph, counts, densities, exact spectra."""
 import math
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -360,13 +361,15 @@ def test_minimal_polynomial_certificate_rejects_a_divisor(d, monkeypatch):
 
 
 def test_minimal_polynomial_certificate_survives_optimize():
-    """Under python -O a prime ladder too small for the coefficients
-    still fails the exact certificate instead of returning a wrong
-    polynomial; coefficients below half the prime still pass."""
+    """Under python -O a ladder too small for the coefficients still
+    fails the exact certificate instead of returning a wrong polynomial:
+    at d = 8 the first 1009 is abandoned once 2 * 3^L >= 1009 (L = 6),
+    the second runs in full and its lift fails the certificate; d = 3
+    (L = 5, 2 * 3^5 < 1009) completes on the first rung and passes."""
     src = (
         "import sys\n"
         "from sternseq import ResourceLimitError, moddist\n"
-        "moddist._PRIME_LADDER = (1009,)\n"
+        "moddist._PRIME_LADDER = (1009, 1009)\n"
         "try:\n"
         "    moddist.minimal_polynomial(8)\n"  # largest |coefficient| 512
         "except ResourceLimitError:\n"
@@ -383,7 +386,8 @@ def test_minimal_polynomial_certificate_survives_optimize():
 
 def test_minimal_polynomial_climbs_the_prime_ladder(monkeypatch):
     """A first prime too small for the 27-bit coefficients at d = 13
-    fails the certificate, and the next prime gives mu_M."""
+    is abandoned by its bound (2 * 3^L >= 2^17 - 1 from L = 11), and
+    the next prime gives mu_M."""
     want = minimal_polynomial(13)
     assert max(abs(c) for c in want).bit_length() > 17
     ladder = sternseq.moddist._PRIME_LADDER
@@ -393,13 +397,93 @@ def test_minimal_polynomial_climbs_the_prime_ladder(monkeypatch):
 
 
 def test_gcd_climbs_the_prime_ladder(monkeypatch):
-    """(z - 600)^2 (z + 1): mod 1009 the gcd lifts to z + 409 and fails
-    its certificate, so the next prime gives z - 600."""
+    """(z - 600)^2 (z + 1): its Landau-Mignotte bound exceeds 1009, so
+    the first rung is skipped, and the next prime gives z - 600."""
     ladder = sternseq.exactalg._PRIME_LADDER
     monkeypatch.setattr(sternseq.exactalg, "_PRIME_LADDER",
                         (1009,) + ladder)
     assert squarefree_factors([360000, 358800, -1199, 1]) == [
         ([1, 1], 1), ([-600, 1], 2)]
+
+
+def test_a_later_rung_fails_its_certificate(monkeypatch):
+    """Past the skipped first rung, a prime too small for the result runs
+    in full, fails the exact certificate, and the ladder climbs: at
+    d = 13 (L = 60, 27-bit coefficients) 2^89 - 1 is abandoned, 2^17 - 1
+    lifts a wrong polynomial, and 2^521 - 1 gives mu_M; the gcd of
+    (z - 600)^2 (z + 1) skips the first 1009, lifts z + 409 mod the
+    second, and gets z - 600 from 2^89 - 1."""
+    ladder = sternseq.exactalg._PRIME_LADDER
+    want = minimal_polynomial(13)
+    runs = []
+    bm = sternseq.moddist._berlekamp_massey
+
+    def spy(g, p, max_len):
+        runs.append((p, bm(g, p, max_len)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(sternseq.moddist, "_berlekamp_massey", spy)
+    monkeypatch.setattr(sternseq.moddist, "_PRIME_LADDER",
+                        (ladder[0], (1 << 17) - 1) + ladder[1:])
+    assert minimal_polynomial(13) == want
+    assert [p for p, _ in runs] == [ladder[0], (1 << 17) - 1, ladder[1]]
+    assert runs[0][1] is None and runs[1][1] not in (None, want)
+    monkeypatch.setattr(sternseq.exactalg, "_PRIME_LADDER",
+                        (1009, 1009) + ladder)
+    assert squarefree_factors([360000, 358800, -1199, 1]) == [
+        ([1, 1], 1), ([-600, 1], 2)]
+
+
+def test_first_rung_completes_through_d12(monkeypatch):
+    """With the ladder cut to its first rung, the certificate (one
+    _poly_row per orbit) runs and passes for every d <= 12, whose
+    mu_M has degree at most 55; at d = 13 (degree 60) Berlekamp-Massey
+    is abandoned before any certificate row."""
+    rows = []
+    poly_row = sternseq.moddist._poly_row
+
+    def spy(g, v, f):
+        rows.append(v)
+        return poly_row(g, v, f)
+
+    want = {d: minimal_polynomial(d) for d in range(2, 14)}
+    monkeypatch.setattr(sternseq.moddist, "_poly_row", spy)
+    monkeypatch.setattr(sternseq.moddist, "_PRIME_LADDER",
+                        sternseq.moddist._PRIME_LADDER[:1])
+    for d in range(2, 13):
+        rows.clear()
+        assert minimal_polynomial(d) == want[d]
+        assert len(rows) == index_I(d)
+    rows.clear()
+    with pytest.raises(ResourceLimitError, match="no prime of the ladder"):
+        minimal_polynomial(13)
+    assert rows == []
+
+
+def test_minimal_polynomial_matches_the_ladder_without_its_first_rung(
+        monkeypatch):
+    """mu_M for every d <= 26 equals the result from 2^521 - 1 upward,
+    both where the first rung completes and where it is abandoned
+    (d = 13, 15, 16 and every d from 17)."""
+    want = {d: minimal_polynomial(d) for d in range(2, 27)}
+    monkeypatch.setattr(sternseq.moddist, "_PRIME_LADDER",
+                        sternseq.moddist._PRIME_LADDER[1:])
+    assert {d: minimal_polynomial(d) for d in range(2, 27)} == want
+
+
+@pytest.mark.parametrize("ladder", [(1009,), ()])
+def test_no_certifying_prime_raises_resource_limit(ladder, monkeypatch):
+    """A ladder whose every rung is skipped by its bound, or an empty
+    one, raises ResourceLimitError naming the degree or the modulus,
+    not UnboundLocalError from a name bound only inside the loop."""
+    monkeypatch.setattr(sternseq.exactalg, "_PRIME_LADDER", ladder)
+    monkeypatch.setattr(sternseq.moddist, "_PRIME_LADDER", ladder)
+    with pytest.raises(ResourceLimitError,
+                       match="degree 3: no prime of the ladder"):
+        squarefree_factors([360000, 358800, -1199, 1])
+    with pytest.raises(ResourceLimitError,
+                       match="mod 8: no prime of the ladder certified it"):
+        minimal_polynomial(8)
 
 
 def _poly_mul(f, g):
@@ -433,6 +517,25 @@ def test_squarefree_factors_match_yun_oracle(gs):
     assert back == f
 
 
+def test_squarefree_factors_across_the_first_rung_bound():
+    """g1 g2^2 g3^3 with b-bit coefficients, b = 4..40: the
+    Landau-Mignotte bound 2^deg f ||f||_2 falls on both sides of 2^88,
+    so the gcds run on the first rung or skip it, and the split equals
+    the Fraction Yun either way."""
+    sides = set()
+    for b in range(4, 41, 2):
+        rng = random.Random(b)
+        gs = [[rng.randrange(-1 << b, 1 << b) for _ in range(k)] + [1]
+              for k in (2, 1, 1)]
+        f = [1]
+        for i, g in enumerate(gs, 1):
+            for _ in range(i):
+                f = _poly_mul(f, g)
+        sides.add(4 ** (len(f) - 1) * sum(c * c for c in f) < 1 << 176)
+        assert squarefree_factors(f) == yun_squarefree_factors(f)
+    assert sides == {True, False}
+
+
 def test_squarefree_factors_on_minimal_polynomials():
     for d in range(2, 13):
         q, r = poly_divmod(minimal_polynomial(d), [-2, 1])
@@ -442,13 +545,15 @@ def test_squarefree_factors_on_minimal_polynomials():
 
 
 def test_gcd_certificate_survives_optimize():
-    """Under python -O a gcd prime ladder too small for the factors
-    still fails the exact division certificate; small factors still
-    pass."""
+    """Under python -O a gcd ladder too small for the factors still
+    fails the exact division certificate: the Landau-Mignotte bound of
+    (z - 600)^2 (z + 1) skips the first 1009, and the gcd mod the
+    second lifts to z + 409, which fails; the small factors of mu_3 fit
+    the bound of the first rung and pass."""
     src = (
         "import sys\n"
         "from sternseq import ResourceLimitError, exactalg, moddist\n"
-        "exactalg._PRIME_LADDER = (1009,)\n"
+        "exactalg._PRIME_LADDER = (1009, 1009)\n"
         "try:\n"
         # (z - 600)^2 (z + 1): the gcd z - 600 lifts to z + 409 mod 1009
         "    exactalg.squarefree_factors([360000, 358800, -1199, 1])\n"
