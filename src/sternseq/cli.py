@@ -43,11 +43,21 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-# each handler returns (params, payload, tsv lines)
+# each handler returns (params, payload, tsv lines); _value and
+# _fraction build the two shapes that several commands share
+
+def _value(params, v):
+    v = str(v)
+    return params, {"value": v}, [v]
+
+
+def _fraction(params, x):
+    return (params, {"num": str(x.numerator), "den": str(x.denominator)},
+            [_frac(x)])
+
 
 def _h_stern(a):
-    v = str(stern(a.n))
-    return {"n": str(a.n)}, {"value": v}, [v]
+    return _value({"n": str(a.n)}, stern(a.n))
 
 
 def _h_pair(a):
@@ -56,10 +66,8 @@ def _h_pair(a):
             [f"{left}\t{right}"])
 
 
-def _h_ratio(a):
-    x = stern_ratio(a.n)
-    return ({"n": str(a.n)},
-            {"num": str(x.numerator), "den": str(x.denominator)}, [_frac(x)])
+def _h_fraction_of_n(fn):  # ratio, rational
+    return lambda a: _fraction({"n": str(a.n)}, fn(a.n))
 
 
 def _p_over_q(a) -> Fraction:
@@ -71,12 +79,6 @@ def _p_over_q(a) -> Fraction:
 def _h_index(a):
     n = index_of_rational(_p_over_q(a))
     return ({"p": str(a.p), "q": str(a.q)}, {"index": str(n)}, [str(n)])
-
-
-def _h_rational(a):
-    x = rational_of_index(a.n)
-    return ({"n": str(a.n)},
-            {"num": str(x.numerator), "den": str(x.denominator)}, [_frac(x)])
 
 
 def _h_row(a):
@@ -172,14 +174,8 @@ def _h_a3(a):
     return {"limit": str(a.limit)}, {"members": members}, members
 
 
-def _h_a3row(a):
-    v = a3_row_count(a.r)
-    return {"r": a.r}, {"value": str(v)}, [str(v)]
-
-
-def _h_t3zero(a):
-    v = t3_zero_closed(a.r)
-    return {"r": a.r}, {"value": str(v)}, [str(v)]
+def _h_value_of_r(fn):  # a3row, t3zero
+    return lambda a: _value({"r": a.r}, fn(a.r))
 
 
 def _h_delta3(a):
@@ -195,14 +191,12 @@ def _h_delta3(a):
 
 
 def _h_hyperbinary(a):
-    v = hyperbinary(a.d, a.n)
-    return ({"d": a.d, "n": str(a.n)}, {"value": str(v)}, [str(v)])
+    return _value({"d": a.d, "n": str(a.n)}, hyperbinary(a.d, a.n))
 
 
 def _h_rowsum(a):
-    x = prefix_row_sum(a.r) if a.prefix else row_sum(a.r)
-    return ({"r": a.r, "prefix": a.prefix},
-            {"num": str(x.numerator), "den": str(x.denominator)}, [_frac(x)])
+    return _fraction({"r": a.r, "prefix": a.prefix},
+                     prefix_row_sum(a.r) if a.prefix else row_sum(a.r))
 
 
 def _h_sum(a):
@@ -270,9 +264,9 @@ def build_parser() -> _Parser:
                                       "default": DEFAULT_MATRIX_CAP}
     add("stern", _h_stern, pos("n"))
     add("pair", _h_pair, pos("n"))
-    add("ratio", _h_ratio, pos("n"))
+    add("ratio", _h_fraction_of_n(stern_ratio), pos("n"))
     add("index", _h_index, pos("p"), pos("q"))
-    add("rational", _h_rational, pos("n"))
+    add("rational", _h_fraction_of_n(rational_of_index), pos("n"))
     add("row", _h_row, pos("r"), pos("a", nargs="?", default=0),
         pos("b", nargs="?", default=1))
     add("brocot", _h_brocot, pos("r"))
@@ -283,8 +277,8 @@ def build_parser() -> _Parser:
     add("spectral", _h_spectral, req("d"), order)
     add("walks", _h_walks, req("d"), req("r"), order)
     add("a3", _h_a3, req("limit"))
-    add("a3row", _h_a3row, pos("r"))
-    add("t3zero", _h_t3zero, pos("r"))
+    add("a3row", _h_value_of_r(a3_row_count), pos("r"))
+    add("t3zero", _h_value_of_r(t3_zero_closed), pos("r"))
     add("delta3", _h_delta3, req("N"), flag("trace"))
     add("hyperbinary", _h_hyperbinary, req("d"), req("n"))
     add("rowsum", _h_rowsum, pos("r"), flag("prefix"))

@@ -11,10 +11,12 @@ the Minkowski question-mark function restricted to rationals.
 """
 
 from fractions import Fraction
+from functools import total_ordering
 
 from .core import _check_bits, stern_pair, stern_table
 
 
+@total_ordering
 class _Infinity:
     """The 1/0 right endpoint of a Stern-Brocot row.
 
@@ -38,15 +40,6 @@ class _Infinity:
 
     def __lt__(self, other):
         return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
 
 
 INFINITY = _Infinity()

@@ -4,24 +4,26 @@ Matrices are lists of row lists; polynomials are coefficient lists in
 ascending degree order, the zero polynomial being the empty list.  All
 entries are integers: division is by monic divisors, and gcds are taken
 mod one prime after another of a fixed ladder until exact division over
-Z certifies one; the first, word-sized prime is entered only when a
-proven coefficient bound fits it.  The dense matrix functions are the
-oracle for `verify` and the tests.
+Z certifies one, and come with the quotients of that division; the
+first, word-sized prime is entered only when a proven coefficient bound
+fits it.  The dense matrix functions are the oracle for `verify` and
+the tests.
 """
 
 from .core import ResourceLimitError
 
 # The Mersenne primes of the Berlekamp-Massey terms in `moddist` and of
-# the gcds here, tried in turn until the exact certificate holds.  The
-# symmetric residues mod p lift every integer c with 2 |c| < p.  The
-# first rung, 2^89 - 1 (three 30-bit digits, so about as cheap as a
-# word-size prime), is entered only while a proven bound on the result
-# fits it: a monic integer polynomial of degree L with every root in
-# |z| <= 2 has |coefficients| <= 3^L, so Berlekamp-Massey stops there
-# once 2 * 3^L >= p (L <= 55 completes), and the gcds run there only
-# when 2 * 2^deg f * ||f||_2 < p (Landau-Mignotte).  The rungs after it
-# run in full, and the last exceeds 2 * 3^4096, so it lifts every factor
-# of mu_M under the matrix cap of `moddist`.
+# the gcds here, tried in turn until the exact certificate holds; both
+# read this one binding at call time.  The symmetric residues mod p
+# lift every integer c with 2 |c| < p.  The first rung, 2^89 - 1 (three
+# 30-bit digits, so about as cheap as a word-size prime), is entered
+# only while a proven bound on the result fits it: a monic integer
+# polynomial of degree L with every root in |z| <= 2 has
+# |coefficients| <= 3^L, so Berlekamp-Massey stops there once
+# 2 * 3^L >= p (L <= 55 completes), and the gcds run there only when
+# 2 * 2^deg f * ||f||_2 < p (Landau-Mignotte).  The rungs after it run
+# in full, and the last exceeds 2 * 3^4096, so it lifts every factor of
+# mu_M under the matrix cap of `moddist`.
 _PRIME_LADDER = tuple((1 << e) - 1
                       for e in (89, 521, 1279, 2203, 4423, 9689))
 
@@ -93,15 +95,17 @@ def poly_divmod(f, g):
 
 
 def poly_gcd(f, g):
-    """Monic gcd of integer polynomials f and g, f monic.
+    """(h, f / h, g / h) for the monic gcd h of integer polynomials f
+    and g, f monic.
 
     Euclid runs mod each prime p of _PRIME_LADDER in turn; its monic
     result h, lifted to symmetric residues, has deg h >= deg gcd, as the
     gcd over Q is integral (Gauss) and divides f and g mod p.  So h
-    dividing f and g over Z proves h = gcd; when no prime gives a proof,
-    ResourceLimitError is raised.  The first prime is skipped unless
-    2 * 2^deg f * ||f||_2 < p: every factor of f, so also the gcd, has
-    coefficients at most 2^deg f * ||f||_2 (Landau-Mignotte).
+    dividing f and g over Z proves h = gcd, and those two divisions give
+    the quotients; when no prime gives a proof, ResourceLimitError is
+    raised.  The first prime is skipped unless 2 * 2^deg f * ||f||_2 < p:
+    every factor of f, so also the gcd, has coefficients at most
+    2^deg f * ||f||_2 (Landau-Mignotte).
     """
     for rung, p in enumerate(_PRIME_LADDER):
         if not rung and 4 ** len(f) * sum(c * c for c in f) >= p * p:
@@ -112,8 +116,11 @@ def poly_gcd(f, g):
             b = [c * inv % p for c in b]
             a, b = b, poly_trim([c % p for c in poly_divmod(a, b)[1]])
         h = _symmetric_lift([c % p for c in a], p)
-        if not (poly_divmod(f, h)[1] or poly_divmod(g, h)[1]):
-            return h
+        f_h, rest = poly_divmod(f, h)
+        if not rest:
+            g_h, rest = poly_divmod(g, h)
+            if not rest:
+                return h, f_h, g_h
     top = max(_PRIME_LADDER, default=0).bit_length()
     raise ResourceLimitError(
         f"gcd with a monic polynomial of degree {len(f) - 1}: no prime of "
@@ -131,11 +138,9 @@ def squarefree_factors(f):
     out, i = [], 0
     b, d = f, poly_derivative(f)
     while len(b) > 1:
-        g = poly_gcd(b, d)
+        g, b, c = poly_gcd(b, d)
         if i and len(g) > 1:  # the first g is gcd(f, f'), not a factor
             out.append((g, i))
-        b, _ = poly_divmod(b, g)
-        c, _ = poly_divmod(d, g)
         d = poly_sub(c, poly_derivative(b))
         i += 1
     return out

@@ -31,12 +31,17 @@ from typing import NamedTuple
 
 from .core import (DEFAULT_TABLE_CAP, ResourceLimitError, _check_bits,
                    _check_work)
-from .exactalg import (_PRIME_LADDER, _symmetric_lift, poly_divmod,
+from . import exactalg
+from .exactalg import (_symmetric_lift, poly_derivative, poly_divmod,
                        poly_eval, poly_gcd, squarefree_factors)
 
 DEFAULT_MATRIX_CAP = 4096
-# every root but 2 has modulus below 1.58 for d <= 28 and d = 30;
-# rho(29) is about 1.5822
+# no max_order admits more vertices; graph(600), 230,400 of them, took
+# 0.44 s and 50 MB (CPython 3.11, one core of a 2-vCPU VM)
+_VERTEX_CEILING = 1 << 18
+# the circle of the float root seeds, near the largest moduli of the
+# roots but 2, which lie on both sides of it: rho(29) is about 1.5822,
+# rho(37) about 1.6693
 _SEED_RADIUS = 1.6
 _SWEEPS = 100
 # the roots of spectral are certified to radius 10^-_DIGITS
@@ -180,6 +185,7 @@ def graph(d: int) -> PairGraph:
 
 def _capped_graph(d: int, max_order: int) -> PairGraph:
     _check_modulus(d)
+    max_order = min(max_order, _VERTEX_CEILING)
     # N_d = d^2 prod (1 - 1/p^2) > 6 d^2 / pi^2 > d^2 / 2, so a large d
     # is rejected on that bound before it is factored
     total = d * d // 2 + 1 if d * d > 2 * max_order else _pair_total(d)
@@ -385,7 +391,7 @@ def minimal_polynomial(d: int,
     units = [u for u in range(1, d) if math.gcd(u, d) == 1]
     reps = {min(g.index[u * i % d, u * j % d] for u in units)
             for i, j in g.vertices}
-    for rung, p in enumerate(_PRIME_LADDER):
+    for rung, p in enumerate(exactalg._PRIME_LADDER):
         max_len = len(g.vertices)
         if not rung:  # the largest L with 2 * 3^L < p
             max_len = 0
@@ -522,7 +528,7 @@ def _polish(f: IntPolynomial, z: list, S: int):
     # the sweeps still converge at least quadratically.  A point also
     # stops after a step of at most one unit in each part, since the
     # grid may hold no point where |f| is within its error bound
-    fp = [k * c for k, c in enumerate(f)][1:]
+    fp = poly_derivative(f)
     one = 1 << S
     near = [complex(a / one, b / one) for a, b in z]
     moving = range(len(z))
@@ -592,7 +598,7 @@ def _certified_roots(f: IntPolynomial, digits: int) -> tuple[int, list]:
     S = math.ceil(digits * math.log2(10) + math.log2(n * kappa)) + 4
     z = [(_units(w.real, S), _units(w.imag, S)) for w in z]
     _polish(f, z, S)
-    fp = [k * c for k, c in enumerate(f)][1:]
+    fp = poly_derivative(f)
     radii = []
     for a, b in z:
         re, im, err = _fixed_horner(f, a, b, S)
@@ -674,9 +680,9 @@ def spectral(d: int, max_order: int = DEFAULT_MATRIX_CAP) -> SpectralReport:
     deg = len(f) - 1
     for factor, mult in squarefree_factors(rest):
         n = len(factor) - 1
-        even = poly_gcd(factor, [-c if (n - k) % 2 else c
-                                 for k, c in enumerate(factor)])
-        for part in (even, poly_divmod(factor, even)[0]):
+        even, odd, _ = poly_gcd(factor, [-c if (n - k) % 2 else c
+                                         for k, c in enumerate(factor)])
+        for part in (even, odd):
             if len(part) == 1:
                 continue
             S, disks = _certified_roots(part, _DIGITS)

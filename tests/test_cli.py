@@ -281,6 +281,34 @@ def test_exit_code_resource_limit():
             assert code == 3 and out == "" and "resource limit" in err
 
 
+def test_vertex_ceiling_binds_every_matrix_cap(monkeypatch):
+    """No --max-matrix-order admits a pair graph of more than 2^18
+    vertices: mod 20000 (288,000,000 vertices) exits 3 before any graph
+    is built, while the largest graphs a cap of 2^15 admits still
+    print."""
+    code, out, err = invoke("graph", "--d", "168", "--dot",
+                            "--max-matrix-order", str(1 << 15))
+    assert (code, err) == (0, "") and out.count(" -> ") == 2 * 18432
+
+    def unbuilt(d):
+        raise AssertionError(f"the pair graph mod {d} was built")
+
+    monkeypatch.setattr(sternseq.moddist, "graph", unbuilt)
+    for argv in (("graph", "--d", "20000"), ("graph", "--d", "20000", "--dot"),
+                 ("dist", "--d", "700", "--N", "5"), ("minpoly", "--d", "700"),
+                 ("walks", "--d", "700", "--r", "1")):
+        code, out, err = invoke(*argv, "--max-matrix-order", str(10 ** 12))
+        assert code == 3 and out == "" and "cap is 262144" in err
+
+
+def test_verify_all_suites_pass():
+    """Every suite, not only the core one of the goldens."""
+    code, out, err = invoke("verify", "--suite", "all")
+    assert (code, err) == (0, "")
+    assert "FAIL" not in out
+    assert out.splitlines()[-1] == "passed\t29\tfailed\t0"
+
+
 def test_dist_honours_a_wider_matrix_cap():
     argv = ("dist", "--d", "80", "--N", "100")
     code, out, err = invoke(*argv)

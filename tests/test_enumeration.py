@@ -110,6 +110,11 @@ def test_infinity_ordering_and_repr():
     assert str(INFINITY) == "1/0"
     assert Fraction(10 ** 9) < INFINITY
     assert not INFINITY < Fraction(1)
+    # the other comparisons, derived from __lt__ and __eq__
+    assert INFINITY > Fraction(10 ** 9) and INFINITY >= Fraction(1)
+    assert not INFINITY <= Fraction(1) and not Fraction(1) >= INFINITY
+    assert INFINITY <= INFINITY and INFINITY >= INFINITY
+    assert not INFINITY > INFINITY and not INFINITY < INFINITY
 
 
 def test_minkowski_golden():

@@ -22,8 +22,9 @@ from sternseq import (DEFAULT_DIGIT_CAP, DEFAULT_WORK_CAP, ResourceLimitError,
                       left_step, minimal_polynomial, pair_counts,
                       right_step, s_mod_pair, spectral, stern, stern_pair,
                       stern_table, walk_counts)
-from sternseq.exactalg import (mat_is_zero, mat_mul, mat_pow, poly_divmod,
-                               poly_eval_matrix, squarefree_factors)
+from sternseq.exactalg import (mat_is_zero, mat_mul, mat_pow, poly_derivative,
+                               poly_divmod, poly_eval_matrix, poly_gcd,
+                               poly_trim, squarefree_factors)
 from sternseq.moddist import _predecessors
 
 ADJ3 = [
@@ -38,6 +39,13 @@ ADJ3 = [
 ]
 
 moduli = st.integers(min_value=2, max_value=30)
+
+
+@pytest.fixture(scope="session")
+def mu():
+    """mu_M for d <= 26 on the full ladder.  Session fixtures are set up
+    before a test's monkeypatch, so no patched ladder reaches these."""
+    return {d: minimal_polynomial(d) for d in range(2, 27)}
 
 
 def test_feasible_pairs_golden():
@@ -320,9 +328,9 @@ def test_minimal_polynomial_annihilates():
         assert sum(c * 2 ** k for k, c in enumerate(f)) == 0
 
 
-def test_minimal_polynomial_past_the_dense_range():
+def test_minimal_polynomial_past_the_dense_range(mu):
     for d, degree in ((15, 60), (16, 58), (17, 84), (19, 121), (20, 89)):
-        f = minimal_polynomial(d)
+        f = mu[d]
         assert len(f) - 1 == degree and f[-1] == 1
         assert sum(c * 2 ** k for k, c in enumerate(f)) == 0
         assert sum(k * c * 2 ** (k - 1) for k, c in enumerate(f) if k) != 0
@@ -360,40 +368,71 @@ def test_minimal_polynomial_certificate_rejects_a_divisor(d, monkeypatch):
         minimal_polynomial(d)
 
 
-def test_minimal_polynomial_certificate_survives_optimize():
-    """Under python -O a ladder too small for the coefficients still
-    fails the exact certificate instead of returning a wrong polynomial:
-    at d = 8 the first 1009 is abandoned once 2 * 3^L >= 1009 (L = 6),
-    the second runs in full and its lift fails the certificate; d = 3
-    (L = 5, 2 * 3^5 < 1009) completes on the first rung and passes."""
+@pytest.fixture(scope="module")
+def optimized_ladder():
+    """One python -O run, with the one ladder binding patched to
+    (1009, 1009), of both exact certificates; its output lines by name."""
     src = (
         "import sys\n"
-        "from sternseq import ResourceLimitError, moddist\n"
-        "moddist._PRIME_LADDER = (1009, 1009)\n"
-        "try:\n"
-        "    moddist.minimal_polynomial(8)\n"  # largest |coefficient| 512
-        "except ResourceLimitError:\n"
-        "    print('raised')\n"
-        "print(*moddist.minimal_polynomial(3))\n"
-        "print(sys.flags.optimize)\n")
+        "from sternseq import ResourceLimitError, exactalg, moddist\n"
+        "exactalg._PRIME_LADDER = (1009, 1009)\n"
+        # mu_8's largest |coefficient| is 512
+        "for name, fails in (('minpoly', lambda: moddist.minimal_polynomial(8)),\n"
+        # (z - 600)^2 (z + 1): the gcd z - 600 lifts to z + 409 mod 1009
+        "                    ('gcd', lambda: exactalg.squarefree_factors(\n"
+        "                        [360000, 358800, -1199, 1]))):\n"
+        "    try:\n"
+        "        fails()\n"
+        "    except ResourceLimitError:\n"
+        "        print(name, 'raised')\n"
+        "mu = moddist.minimal_polynomial(3)\n"
+        "print('minpoly', *mu)\n"
+        "print('gcd', *exactalg.squarefree_factors(exactalg.poly_divmod(\n"
+        "    mu, [-2, 1])[0][1:]))\n"
+        "print('optimize', sys.flags.optimize)\n")
     src_dir = Path(sternseq.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src_dir)}
     proc = subprocess.run([sys.executable, "-O", "-c", src], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["raised", "0 4 -4 1 -2 1", "1"]
+    lines = [line.split(" ", 1) for line in proc.stdout.splitlines()]
+    return {name: [rest for key, rest in lines if key in (name, "optimize")]
+            for name in ("minpoly", "gcd")}
 
 
-def test_minimal_polynomial_climbs_the_prime_ladder(monkeypatch):
+def test_minimal_polynomial_certificate_survives_optimize(optimized_ladder):
+    """Under python -O a ladder too small for the coefficients still
+    fails the exact certificate instead of returning a wrong polynomial:
+    at d = 8 the first 1009 is abandoned once 2 * 3^L >= 1009 (L = 6),
+    the second runs in full and its lift fails the certificate; d = 3
+    (L = 5, 2 * 3^5 < 1009) completes on the first rung and passes."""
+    assert optimized_ladder["minpoly"] == ["raised", "0 4 -4 1 -2 1", "1"]
+
+
+def test_gcd_certificate_survives_optimize(optimized_ladder):
+    """Under python -O a gcd ladder too small for the factors still
+    fails the exact division certificate: the Landau-Mignotte bound of
+    (z - 600)^2 (z + 1) skips the first 1009, and the gcd mod the
+    second lifts to z + 409, which fails; the small factors of mu_3 fit
+    the bound of the first rung and pass."""
+    assert optimized_ladder["gcd"] == ["raised", "([-2, 1, 0, 1], 1)", "1"]
+
+
+def test_the_ladder_has_one_binding():
+    """moddist reads the ladder from exactalg when it runs, so a patch
+    of exactalg._PRIME_LADDER reaches Berlekamp-Massey and the gcds."""
+    assert not hasattr(sternseq.moddist, "_PRIME_LADDER")
+
+
+def test_minimal_polynomial_climbs_the_prime_ladder(mu, monkeypatch):
     """A first prime too small for the 27-bit coefficients at d = 13
     is abandoned by its bound (2 * 3^L >= 2^17 - 1 from L = 11), and
     the next prime gives mu_M."""
-    want = minimal_polynomial(13)
-    assert max(abs(c) for c in want).bit_length() > 17
-    ladder = sternseq.moddist._PRIME_LADDER
-    monkeypatch.setattr(sternseq.moddist, "_PRIME_LADDER",
+    assert max(abs(c) for c in mu[13]).bit_length() > 17
+    ladder = sternseq.exactalg._PRIME_LADDER
+    monkeypatch.setattr(sternseq.exactalg, "_PRIME_LADDER",
                         ((1 << 17) - 1,) + ladder[1:])
-    assert minimal_polynomial(13) == want
+    assert minimal_polynomial(13) == mu[13]
 
 
 def test_gcd_climbs_the_prime_ladder(monkeypatch):
@@ -406,7 +445,7 @@ def test_gcd_climbs_the_prime_ladder(monkeypatch):
         ([1, 1], 1), ([-600, 1], 2)]
 
 
-def test_a_later_rung_fails_its_certificate(monkeypatch):
+def test_a_later_rung_fails_its_certificate(mu, monkeypatch):
     """Past the skipped first rung, a prime too small for the result runs
     in full, fails the exact certificate, and the ladder climbs: at
     d = 13 (L = 60, 27-bit coefficients) 2^89 - 1 is abandoned, 2^17 - 1
@@ -414,7 +453,6 @@ def test_a_later_rung_fails_its_certificate(monkeypatch):
     (z - 600)^2 (z + 1) skips the first 1009, lifts z + 409 mod the
     second, and gets z - 600 from 2^89 - 1."""
     ladder = sternseq.exactalg._PRIME_LADDER
-    want = minimal_polynomial(13)
     runs = []
     bm = sternseq.moddist._berlekamp_massey
 
@@ -423,18 +461,18 @@ def test_a_later_rung_fails_its_certificate(monkeypatch):
         return runs[-1][1]
 
     monkeypatch.setattr(sternseq.moddist, "_berlekamp_massey", spy)
-    monkeypatch.setattr(sternseq.moddist, "_PRIME_LADDER",
+    monkeypatch.setattr(sternseq.exactalg, "_PRIME_LADDER",
                         (ladder[0], (1 << 17) - 1) + ladder[1:])
-    assert minimal_polynomial(13) == want
+    assert minimal_polynomial(13) == mu[13]
     assert [p for p, _ in runs] == [ladder[0], (1 << 17) - 1, ladder[1]]
-    assert runs[0][1] is None and runs[1][1] not in (None, want)
+    assert runs[0][1] is None and runs[1][1] not in (None, mu[13])
     monkeypatch.setattr(sternseq.exactalg, "_PRIME_LADDER",
                         (1009, 1009) + ladder)
     assert squarefree_factors([360000, 358800, -1199, 1]) == [
         ([1, 1], 1), ([-600, 1], 2)]
 
 
-def test_first_rung_completes_through_d12(monkeypatch):
+def test_first_rung_completes_through_d12(mu, monkeypatch):
     """With the ladder cut to its first rung, the certificate (one
     _poly_row per orbit) runs and passes for every d <= 12, whose
     mu_M has degree at most 55; at d = 13 (degree 60) Berlekamp-Massey
@@ -446,13 +484,12 @@ def test_first_rung_completes_through_d12(monkeypatch):
         rows.append(v)
         return poly_row(g, v, f)
 
-    want = {d: minimal_polynomial(d) for d in range(2, 14)}
     monkeypatch.setattr(sternseq.moddist, "_poly_row", spy)
-    monkeypatch.setattr(sternseq.moddist, "_PRIME_LADDER",
-                        sternseq.moddist._PRIME_LADDER[:1])
+    monkeypatch.setattr(sternseq.exactalg, "_PRIME_LADDER",
+                        sternseq.exactalg._PRIME_LADDER[:1])
     for d in range(2, 13):
         rows.clear()
-        assert minimal_polynomial(d) == want[d]
+        assert minimal_polynomial(d) == mu[d]
         assert len(rows) == index_I(d)
     rows.clear()
     with pytest.raises(ResourceLimitError, match="no prime of the ladder"):
@@ -461,14 +498,13 @@ def test_first_rung_completes_through_d12(monkeypatch):
 
 
 def test_minimal_polynomial_matches_the_ladder_without_its_first_rung(
-        monkeypatch):
+        mu, monkeypatch):
     """mu_M for every d <= 26 equals the result from 2^521 - 1 upward,
     both where the first rung completes and where it is abandoned
     (d = 13, 15, 16 and every d from 17)."""
-    want = {d: minimal_polynomial(d) for d in range(2, 27)}
-    monkeypatch.setattr(sternseq.moddist, "_PRIME_LADDER",
-                        sternseq.moddist._PRIME_LADDER[1:])
-    assert {d: minimal_polynomial(d) for d in range(2, 27)} == want
+    monkeypatch.setattr(sternseq.exactalg, "_PRIME_LADDER",
+                        sternseq.exactalg._PRIME_LADDER[1:])
+    assert {d: minimal_polynomial(d) for d in range(2, 27)} == mu
 
 
 @pytest.mark.parametrize("ladder", [(1009,), ()])
@@ -477,7 +513,6 @@ def test_no_certifying_prime_raises_resource_limit(ladder, monkeypatch):
     one, raises ResourceLimitError naming the degree or the modulus,
     not UnboundLocalError from a name bound only inside the loop."""
     monkeypatch.setattr(sternseq.exactalg, "_PRIME_LADDER", ladder)
-    monkeypatch.setattr(sternseq.moddist, "_PRIME_LADDER", ladder)
     with pytest.raises(ResourceLimitError,
                        match="degree 3: no prime of the ladder"):
         squarefree_factors([360000, 358800, -1199, 1])
@@ -517,6 +552,23 @@ def test_squarefree_factors_match_yun_oracle(gs):
     assert back == f
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_monic, small_monic, st.lists(st.integers(-5, 5), max_size=4))
+def test_poly_gcd_returns_the_certified_quotients(a, b, c):
+    """poly_gcd(f, g) is (h, f / h, g / h), the quotients from the exact
+    divisions that certify h: a monic h of f = a b and g = a c that
+    a divides, multiplying back to f and g."""
+    f, g = _poly_mul(a, b), poly_trim(_poly_mul(a, c) if c else [])
+    h, f_h, g_h = poly_gcd(f, g)
+    assert h[-1] == 1 and poly_divmod(h, a)[1] == []
+    assert _poly_mul(h, f_h) == f
+    assert poly_trim(_poly_mul(h, g_h) if g_h else []) == g
+    # (z - 600)^2 (z + 1) and its derivative (z - 600) (3z - 598)
+    f = [360000, 358800, -1199, 1]
+    assert poly_gcd(f, poly_derivative(f)) == (
+        [-600, 1], [-600, -599, 1], [-598, 3])
+
+
 def test_squarefree_factors_across_the_first_rung_bound():
     """g1 g2^2 g3^3 with b-bit coefficients, b = 4..40: the
     Landau-Mignotte bound 2^deg f ||f||_2 falls on both sides of 2^88,
@@ -542,32 +594,6 @@ def test_squarefree_factors_on_minimal_polynomials():
         assert r == []
         rest = q[next(k for k, c in enumerate(q) if c):]
         assert squarefree_factors(rest) == yun_squarefree_factors(rest)
-
-
-def test_gcd_certificate_survives_optimize():
-    """Under python -O a gcd ladder too small for the factors still
-    fails the exact division certificate: the Landau-Mignotte bound of
-    (z - 600)^2 (z + 1) skips the first 1009, and the gcd mod the
-    second lifts to z + 409, which fails; the small factors of mu_3 fit
-    the bound of the first rung and pass."""
-    src = (
-        "import sys\n"
-        "from sternseq import ResourceLimitError, exactalg, moddist\n"
-        "exactalg._PRIME_LADDER = (1009, 1009)\n"
-        "try:\n"
-        # (z - 600)^2 (z + 1): the gcd z - 600 lifts to z + 409 mod 1009
-        "    exactalg.squarefree_factors([360000, 358800, -1199, 1])\n"
-        "except ResourceLimitError:\n"
-        "    print('raised')\n"
-        "q, _ = exactalg.poly_divmod(moddist.minimal_polynomial(3), [-2, 1])\n"
-        "print(*exactalg.squarefree_factors(q[1:]))\n"
-        "print(sys.flags.optimize)\n")
-    src_dir = Path(sternseq.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src_dir)}
-    proc = subprocess.run([sys.executable, "-O", "-c", src], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["raised", "([-2, 1, 0, 1], 1)", "1"]
 
 
 def test_spectral_d3():

@@ -50,16 +50,25 @@ summary\t4096\t[-2, 8]
 """
 
 SUM_ERROR_SCAN = """\
-log2_N\texact\tfloat\ttrue_err\terr_bound\tbracket_width
-2\t3.500000\t3.500000\t0.000e+00\t1.554e-15\t5.500
-3\t9.000000\t9.000000\t0.000e+00\t3.997e-15\t8.500
-4\t20.500000\t20.500000\t0.000e+00\t9.104e-15\t12.000
-5\t44.000000\t44.000000\t0.000e+00\t1.954e-14\t16.000
-6\t91.500000\t91.500000\t0.000e+00\t4.063e-14\t20.500
-7\t187.000000\t187.000000\t0.000e+00\t8.304e-14\t25.500
-8\t378.500000\t378.500000\t0.000e+00\t1.681e-13\t31.000
-9\t762.000000\t762.000000\t0.000e+00\t3.384e-13\t37.000
-10\t1529.500000\t1529.500000\t0.000e+00\t6.792e-13\t43.500
+log2_N\tdelta\texact\tfloat\ttrue_err\terr_bound\tbracket_width
+2\t1\t3.833333\t3.833333\t1.480e-16\t1.702e-15\t5.500
+2\t3\t6.000000\t6.000000\t0.000e+00\t2.665e-15\t5.500
+3\t3\t11.183333\t11.183333\t2.368e-16\t4.966e-15\t8.500
+3\t5\t14.083333\t14.083333\t5.921e-16\t6.254e-15\t8.500
+4\t7\t27.544048\t27.544048\t1.489e-15\t1.223e-14\t12.000
+4\t9\t31.329762\t31.329762\t1.049e-15\t1.391e-14\t12.000
+5\t15\t61.912463\t61.912463\t6.743e-16\t2.749e-14\t16.000
+5\t17\t66.634685\t66.634685\t1.152e-16\t2.959e-14\t16.000
+6\t31\t132.286784\t132.286784\t2.826e-16\t5.875e-14\t20.500
+6\t33\t137.968602\t137.968602\t4.885e-15\t6.127e-14\t20.500
+7\t63\t274.665837\t274.665837\t7.035e-15\t1.220e-13\t25.500
+7\t65\t281.319683\t281.319683\t2.795e-14\t1.249e-13\t25.500
+8\t127\t561.048798\t561.048798\t1.402e-14\t2.492e-13\t31.000
+8\t129\t568.682132\t568.682132\t2.160e-14\t2.525e-13\t31.000
+9\t255\t1135.435066\t1135.435066\t3.054e-14\t5.042e-13\t37.000
+9\t257\t1144.052713\t1144.052713\t7.646e-14\t5.081e-13\t37.000
+10\t511\t2285.824181\t2285.824181\t9.366e-14\t1.015e-12\t43.500
+10\t513\t2295.429444\t2295.429444\t1.935e-13\t1.019e-12\t43.500
 """
 
 
