@@ -16,9 +16,11 @@ permutations: walk counts add the packed rows at L(v) and R(v) of
 M^(r-1), and x M, for the census and for the minimal polynomial, adds
 the entries at the L- and R-predecessor of v.  The minimal polynomial,
 which sets the rate of convergence to the densities, comes from
-Berlekamp-Massey on a scalar sequence mod p, certified over Z on one
-vertex per orbit of the unit scalings; the dense `exactalg` matrices
-are the oracle for `verify` and tests.
+Berlekamp-Massey on a scalar sequence mod p, stopped early once its
+linear complexity settles, and is certified over Z on one vertex per
+orbit of the unit scalings, with the rows of f(M) at those vertices
+packed into one int per vertex like the walk counts; the dense
+`exactalg` matrices are the oracle for `verify` and tests.
 """
 
 import cmath
@@ -39,6 +41,10 @@ DEFAULT_MATRIX_CAP = 4096
 # no max_order admits more vertices; graph(600), 230,400 of them, took
 # 0.44 s and 50 MB (CPython 3.11, one core of a 2-vCPU VM)
 _VERTEX_CEILING = 1 << 18
+# bits of one packed vector of the minimal polynomial's certificate,
+# 4 MB; with 2^27 bits minimal_polynomial(43) peaked at 30 MB against
+# 24 MB, at no measured gain in time (CPython 3.11, 2-vCPU VM)
+_PACK_BITS = 1 << 25
 # the circle of the float root seeds, near the largest moduli of the
 # roots but 2, which lie on both sides of it: rho(29) is about 1.5822,
 # rho(37) about 1.6693
@@ -253,17 +259,6 @@ def _predecessors(d: int) -> tuple[tuple[int, int], ...]:
                  for i, j in g.vertices)
 
 
-def _poly_row(g: PairGraph, v: int, f: IntPolynomial) -> list[int]:
-    # row v of f(M), e_v f(M), by Horner in deg f sparse steps
-    pred = _predecessors(g.d)
-    vec = [0] * len(g.vertices)
-    vec[v] = f[-1]
-    for c in reversed(f[:-1]):
-        vec = _step(pred, vec)
-        vec[v] += c
-    return vec
-
-
 def _pair_census(N: int, d: int,
                  max_order: int = DEFAULT_MATRIX_CAP) -> list[int]:
     """Occurrences of each feasible pair (by vertex) among S_d(n), n < N.
@@ -374,53 +369,84 @@ def minimal_polynomial(d: int,
                        max_order: int = DEFAULT_MATRIX_CAP) -> IntPolynomial:
     """Monic minimal polynomial mu_M of the adjacency matrix, ascending.
 
-    Berlekamp-Massey (Massey 1969) on the 2 N_d terms x M^k y^T mod a
-    prime p, x and y seeded by d (Wiedemann 1986), gives a monic f with
-    deg f <= deg mu_M in symmetric residues.  The unit scalings
-    (i, j) -> (ui, uj) permute the vertices and commute with M, so the
-    rows of f(M) within one orbit are permutations of each other, and
-    e_v f(M) = 0 over Z for one vertex v per orbit proves mu_M | f, so
-    f = mu_M.  p runs up the prime ladder of `exactalg` until the proof
-    holds.  The first prime is abandoned as soon as the running linear
-    complexity L has 2 * 3^L >= p, since 3^L bounds the coefficients of
-    a monic degree-L divisor of mu_M (every root has |z| <= 2).  The
-    last prime exceeds every coefficient bound under the matrix cap,
-    and when no prime gives a proof, ResourceLimitError is raised.
+    Berlekamp-Massey (Massey 1969) on the terms x M^k y^T mod a prime
+    p, x and y seeded by d (Wiedemann 1986), gives a monic f with
+    deg f <= deg mu_M in symmetric residues.  It stops early, once the
+    discrepancy has been zero twice in a row past 2L + 2 terms (Kaltofen
+    and Lee 2003), and if that f fails the proof it runs on to all
+    2 N_d terms on the same prime.  The unit scalings (i, j) -> (ui, uj)
+    permute the vertices and commute with M, so the rows of f(M) within
+    one orbit are permutations of each other, and e_v f(M) = 0 over Z
+    for one vertex v per orbit proves mu_M | f, so f = mu_M.  p runs up
+    the prime ladder of `exactalg` until the proof holds.  The first
+    prime is abandoned as soon as the running linear complexity L has
+    2 * 3^L >= p, since 3^L bounds the coefficients of a monic degree-L
+    divisor of mu_M (every root has |z| <= 2).  The last prime exceeds
+    every coefficient bound under the matrix cap, and when no prime
+    gives a proof, ResourceLimitError is raised.
     """
     g = _capped_graph(d, max_order)
     units = [u for u in range(1, d) if math.gcd(u, d) == 1]
-    reps = {min(g.index[u * i % d, u * j % d] for u in units)
-            for i, j in g.vertices}
+    reps = sorted({min(g.index[u * i % d, u * j % d] for u in units)
+                   for i, j in g.vertices})
     for rung, p in enumerate(exactalg._PRIME_LADDER):
         max_len = len(g.vertices)
         if not rung:  # the largest L with 2 * 3^L < p
             max_len = 0
             while 2 * 3 ** (max_len + 1) < p:
                 max_len += 1
-        f = _berlekamp_massey(g, p, max_len)
-        if f and not any(any(_poly_row(g, v, f)) for v in reps):
-            return f
+        for f in _berlekamp_massey(g, p, max_len):
+            if f and _rows_vanish(g, reps, f):
+                return f
     raise ResourceLimitError(
         f"minimal polynomial mod {d}: no prime of the ladder certified it")
 
 
-def _berlekamp_massey(g: PairGraph, p: int,
-                      max_len: int) -> IntPolynomial | None:
-    # the monic generator of the 2 N_d terms x M^k y^T mod p, in
-    # symmetric residues, with x and y seeded by d; None as soon as the
-    # linear complexity exceeds max_len
+def _rows_vanish(g: PairGraph, reps: list[int], f: IntPolynomial) -> bool:
+    # whether e_v f(M) = 0 over Z for every v in reps, by Horner, one
+    # sparse step per coefficient, on the rows of a group of reps
+    # packed into one int per vertex, one signed field of W bits per
+    # rep.  An entry of a row is at most sum |c_k| 2^k < 2^(W - 2) in
+    # size, and a sum of such fields times 2^(W j) is 0 only when every
+    # field is, so the packed rows are tested without decoding.  A group
+    # holds at most _PACK_BITS / (N_d W) reps, which bounds its vector.
+    pred = _predecessors(g.d)
+    width = sum(abs(c) << k for k, c in enumerate(f)).bit_length() + 2
+    size = max(1, _PACK_BITS // (len(g.vertices) * width))
+    for start in range(0, len(reps), size):
+        group = list(enumerate(reps[start:start + size]))
+        vec = [0] * len(g.vertices)
+        for c in reversed(f):
+            vec = _step(pred, vec)
+            for j, v in group:
+                vec[v] += c << width * j
+        if any(vec):
+            return False
+    return True
+
+
+def _berlekamp_massey(g: PairGraph, p: int, max_len: int):
+    # the monic generator of the terms x M^k y^T mod p, in symmetric
+    # residues, with x and y seeded by d: yielded once at the early
+    # stop, then after all 2 N_d terms; nothing more once the linear
+    # complexity exceeds max_len
     pred = _predecessors(g.d)
     rng = random.Random(g.d)
     x = [rng.randrange(p) for _ in g.vertices]
     y = [rng.randrange(p) for _ in g.vertices]
     seq, conn, prev = [], [1], [1]  # terms; connection polynomials
-    # linear complexity; prev's lag; the inverse of prev's discrepancy
-    length, shift, inv = 0, 1, 1
-    for k in range(2 * len(g.vertices)):
+    # linear complexity; prev's lag; the inverse of prev's discrepancy;
+    # the zero discrepancies since the last nonzero one
+    length, shift, inv, zeros = 0, 1, 1, 0
+    stopped = False
+    terms = 2 * len(g.vertices)
+    for k in range(terms):
         seq.append(sum(a * b for a, b in zip(x, y)) % p)
         x = [a % p for a in _step(pred, x)]
         delta = sum(c * s for c, s in zip(conn, reversed(seq))) % p
+        zeros += 1
         if delta:
+            zeros = 0
             coef = delta * inv % p
             new = conn + [0] * (shift + len(prev) - len(conn))
             for pos, c in enumerate(prev, shift):
@@ -428,12 +454,15 @@ def _berlekamp_massey(g: PairGraph, p: int,
             if 2 * length <= k:
                 length, prev, shift = k + 1 - length, conn, 0
                 if length > max_len:
-                    return None
+                    return
                 inv = pow(delta, -1, p)
             conn = new
         shift += 1
-    # f(z) = z^length conn(1/z); conn has degree at most length
-    return _symmetric_lift((conn + [0] * length)[length::-1], p)
+        if k + 1 == terms or (not stopped and zeros >= 2
+                              and k + 1 >= 2 * length + 2):
+            stopped = True
+            # f(z) = z^length conn(1/z); conn has degree at most length
+            yield _symmetric_lift((conn + [0] * length)[length::-1], p)
 
 
 class RootValue(NamedTuple):

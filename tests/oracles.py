@@ -233,6 +233,21 @@ def dense_minimal_polynomial(M):
                  for row in power]
 
 
+def _poly_row(g, v, f):
+    """Row v of f(M) for the pair graph g, e_v f(M), by Horner: x M
+    gives each vertex u's entry x_u to both of its successors L(u) and
+    R(u), the ones of row u of M."""
+    vec = [0] * len(g.vertices)
+    for c in reversed(f):
+        nxt = [0] * len(vec)
+        for u, x in enumerate(vec):
+            nxt[g.left[u]] += x
+            nxt[g.right[u]] += x
+        nxt[v] += c
+        vec = nxt
+    return vec
+
+
 def _trim(f):
     f = list(f)
     while f and not f[-1]:

@@ -12,7 +12,7 @@ from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
-from oracles import (count_digit_strings, pairwise_fraction_sum,
+from oracles import (_poly_row, count_digit_strings, pairwise_fraction_sum,
                      product_coefficients)
 from sternseq import (a3_row_count, a3_row_count_closed, adjacency,
                       alpha_estimate, count_T, delta3_classify, delta3_trace,
@@ -22,7 +22,6 @@ from sternseq import (a3_row_count, a3_row_count_closed, adjacency,
                       stern_table, t3_zero_closed, theorem_bounds,
                       to_odd_cfrac, walk_counts)
 from sternseq.cli import run as cli_run
-from sternseq.moddist import _poly_row
 
 ADJ3 = [
     [1, 0, 0, 1, 0, 0, 0, 0],

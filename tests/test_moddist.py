@@ -1,4 +1,6 @@
 """Residue-pair walk graph, counts, densities, exact spectra."""
+import hashlib
+import json
 import math
 import os
 import random
@@ -13,9 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import sternseq
 from mpmath import mp
-from oracles import (dense_minimal_polynomial, pair_histogram, polyroots,
-                     product_density, product_index_I, residue_counts,
-                     yun_squarefree_factors)
+from oracles import (_poly_row, dense_minimal_polynomial, pair_histogram,
+                     polyroots, product_density, product_index_I,
+                     residue_counts, yun_squarefree_factors)
 from sternseq import (DEFAULT_DIGIT_CAP, DEFAULT_WORK_CAP, ResourceLimitError,
                       adjacency, count_T, count_block, density, dist_table,
                       feasible_pairs, graph, graph_export, index_I,
@@ -357,15 +359,84 @@ def test_unit_scalings_act_freely():
 
 @pytest.mark.parametrize("d", [9, 12])
 def test_minimal_polynomial_certificate_rejects_a_divisor(d, monkeypatch):
-    """A lift that returns mu_M / (z - 2) fails the orbit certificate."""
+    """A lift that returns mu_M / (z - 2) fails the packed orbit
+    certificate, at the early stop and after all 2 N_d terms, on a
+    two-rung ladder: the first rung and 2^521 - 1."""
     lift = sternseq.moddist._symmetric_lift
 
     def lift_divisor(f, p):
         return poly_divmod(lift(f, p), [-2, 1])[0]
 
     monkeypatch.setattr(sternseq.moddist, "_symmetric_lift", lift_divisor)
+    monkeypatch.setattr(sternseq.exactalg, "_PRIME_LADDER",
+                        sternseq.exactalg._PRIME_LADDER[:2])
     with pytest.raises(ResourceLimitError):
         minimal_polynomial(d)
+
+
+def test_minimal_polynomial_falls_back_to_all_terms(mu, monkeypatch):
+    """When the f of the early stop fails the certificate, the same rung
+    runs on to all 2 N_d terms: a lift that is wrong on its first call
+    only still gives mu_9 on a ladder of the first rung alone."""
+    lift = sternseq.moddist._symmetric_lift
+    calls = []
+
+    def lift_once_wrong(f, p):
+        calls.append(p)
+        out = lift(f, p)
+        return out if len(calls) > 1 else [out[0] + 1] + out[1:]
+
+    monkeypatch.setattr(sternseq.moddist, "_symmetric_lift", lift_once_wrong)
+    monkeypatch.setattr(sternseq.exactalg, "_PRIME_LADDER",
+                        sternseq.exactalg._PRIME_LADDER[:1])
+    assert minimal_polynomial(9) == mu[9]
+    assert calls == [sternseq.exactalg._PRIME_LADDER[0]] * 2
+
+
+def _orbit_reps(g):
+    d = g.d
+    units = [u for u in range(1, d) if math.gcd(u, d) == 1]
+    return sorted({min(g.index[u * i % d, u * j % d] for u in units)
+                   for i, j in g.vertices})
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.integers(2, 12),
+       st.sampled_from([1, 1 << 14, 1 << 17, 1 << 27]))
+def test_packed_certificate_matches_the_row_oracle(mu, data, d, bits):
+    """The packed verdict of the certificate equals the oracle's rows
+    e_v f(M), one per orbit representative, for mu_d, its multiples
+    mu_d (z - c), its divisor mu_d / (z - 2) and random polynomials;
+    the bit bounds cut the representatives into groups of every size
+    down to one."""
+    f = mu[d]
+    kind = data.draw(st.sampled_from(["mu", "multiple", "divisor",
+                                      "random"]))
+    if kind == "multiple":
+        f = _poly_mul(f, [-data.draw(st.integers(-9, 9)), 1])
+    elif kind == "divisor":
+        f = poly_divmod(f, [-2, 1])[0]
+    elif kind == "random":
+        big = 1 << 200
+        f = data.draw(st.lists(st.integers(-big, big), min_size=1,
+                               max_size=60))
+    g = graph(d)
+    reps = _orbit_reps(g)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sternseq.moddist, "_PACK_BITS", bits)
+        verdict = sternseq.moddist._rows_vanish(g, reps, f)
+    assert verdict == all(not any(_poly_row(g, v, f)) for v in reps)
+    if kind != "random":
+        assert verdict == (kind in ("mu", "multiple"))
+
+
+def test_minimal_polynomial_golden_digest(mu):
+    """mu_M for d = 2..26 equals a committed record, so the session
+    fixture that other tests compare against is anchored to it."""
+    record = json.dumps([mu[d] for d in range(2, 27)],
+                        separators=(",", ":"))
+    assert hashlib.sha256(record.encode()).hexdigest() == (
+        "a77117f65b2a43ab9ba9982eb4a53d777d1805f231df53ca32aaaf072434bffc")
 
 
 @pytest.fixture(scope="module")
@@ -449,7 +520,8 @@ def test_a_later_rung_fails_its_certificate(mu, monkeypatch):
     """Past the skipped first rung, a prime too small for the result runs
     in full, fails the exact certificate, and the ladder climbs: at
     d = 13 (L = 60, 27-bit coefficients) 2^89 - 1 is abandoned, 2^17 - 1
-    lifts a wrong polynomial, and 2^521 - 1 gives mu_M; the gcd of
+    lifts a wrong polynomial at its early stop and again after all
+    2 N_d terms, and 2^521 - 1 gives mu_M at its early stop; the gcd of
     (z - 600)^2 (z + 1) skips the first 1009, lifts z + 409 mod the
     second, and gets z - 600 from 2^89 - 1."""
     ladder = sternseq.exactalg._PRIME_LADDER
@@ -457,15 +529,21 @@ def test_a_later_rung_fails_its_certificate(mu, monkeypatch):
     bm = sternseq.moddist._berlekamp_massey
 
     def spy(g, p, max_len):
-        runs.append((p, bm(g, p, max_len)))
-        return runs[-1][1]
+        runs.append([p])
+        for f in bm(g, p, max_len):
+            runs[-1].append(f)
+            yield f
+        runs[-1].append("done")
 
     monkeypatch.setattr(sternseq.moddist, "_berlekamp_massey", spy)
     monkeypatch.setattr(sternseq.exactalg, "_PRIME_LADDER",
                         (ladder[0], (1 << 17) - 1) + ladder[1:])
     assert minimal_polynomial(13) == mu[13]
-    assert [p for p, _ in runs] == [ladder[0], (1 << 17) - 1, ladder[1]]
-    assert runs[0][1] is None and runs[1][1] not in (None, mu[13])
+    assert [run[0] for run in runs] == [ladder[0], (1 << 17) - 1, ladder[1]]
+    assert runs[0][1:] == ["done"]
+    early, full, done = runs[1][1:]
+    assert done == "done" and mu[13] not in (early, full)
+    assert runs[2][1:] == [mu[13]]
     monkeypatch.setattr(sternseq.exactalg, "_PRIME_LADDER",
                         (1009, 1009) + ladder)
     assert squarefree_factors([360000, 358800, -1199, 1]) == [
@@ -473,28 +551,28 @@ def test_a_later_rung_fails_its_certificate(mu, monkeypatch):
 
 
 def test_first_rung_completes_through_d12(mu, monkeypatch):
-    """With the ladder cut to its first rung, the certificate (one
-    _poly_row per orbit) runs and passes for every d <= 12, whose
-    mu_M has degree at most 55; at d = 13 (degree 60) Berlekamp-Massey
-    is abandoned before any certificate row."""
-    rows = []
-    poly_row = sternseq.moddist._poly_row
+    """With the ladder cut to its first rung, the packed certificate
+    runs once on the I(d) orbit representatives and passes for every
+    d <= 12, whose mu_M has degree at most 55; at d = 13 (degree 60)
+    Berlekamp-Massey is abandoned before any certificate."""
+    seen = []
+    rows_vanish = sternseq.moddist._rows_vanish
 
-    def spy(g, v, f):
-        rows.append(v)
-        return poly_row(g, v, f)
+    def spy(g, reps, f):
+        seen.append(len(set(reps)))
+        return rows_vanish(g, reps, f)
 
-    monkeypatch.setattr(sternseq.moddist, "_poly_row", spy)
+    monkeypatch.setattr(sternseq.moddist, "_rows_vanish", spy)
     monkeypatch.setattr(sternseq.exactalg, "_PRIME_LADDER",
                         sternseq.exactalg._PRIME_LADDER[:1])
     for d in range(2, 13):
-        rows.clear()
+        seen.clear()
         assert minimal_polynomial(d) == mu[d]
-        assert len(rows) == index_I(d)
-    rows.clear()
+        assert seen == [index_I(d)]
+    seen.clear()
     with pytest.raises(ResourceLimitError, match="no prime of the ladder"):
         minimal_polynomial(13)
-    assert rows == []
+    assert seen == []
 
 
 def test_minimal_polynomial_matches_the_ladder_without_its_first_rung(
