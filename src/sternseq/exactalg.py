@@ -13,16 +13,16 @@ the tests.
 from .core import ResourceLimitError
 
 # The Mersenne primes of the Berlekamp-Massey terms in `moddist` and of
-# the gcds here, tried in turn until the exact certificate holds; both
-# read this one binding at call time.  The symmetric residues mod p
-# lift every integer c with 2 |c| < p.  The first rung, 2^89 - 1 (three
-# 30-bit digits, so about as cheap as a word-size prime), is entered
-# only while a proven bound on the result fits it: a monic integer
-# polynomial of degree L with every root in |z| <= 2 has
-# |coefficients| <= 3^L, so Berlekamp-Massey stops there once
+# the gcds here, tried in turn until the exact certificate holds, with
+# one result per rung; both read this one binding at call time.  The
+# symmetric residues mod p lift every integer c with 2 |c| < p.  The
+# first rung, 2^89 - 1 (three 30-bit digits, so about as cheap as a
+# word-size prime), is entered only while a proven bound on the result
+# fits it: a monic integer polynomial of degree L with every root in
+# |z| <= 2 has |coefficients| <= 3^L, so Berlekamp-Massey leaves it once
 # 2 * 3^L >= p (L <= 55 completes), and the gcds run there only when
-# 2 * 2^deg f * ||f||_2 < p (Landau-Mignotte).  The rungs after it run
-# in full, and the last exceeds 2 * 3^4096, so it lifts every factor of
+# 2 * 2^deg f * ||f||_2 < p (Landau-Mignotte).  The later rungs are not
+# bounded, and the last exceeds 2 * 3^4096, so it lifts every factor of
 # mu_M under the matrix cap of `moddist`.
 _PRIME_LADDER = tuple((1 << e) - 1
                       for e in (89, 521, 1279, 2203, 4423, 9689))

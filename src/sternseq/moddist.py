@@ -45,6 +45,9 @@ _VERTEX_CEILING = 1 << 18
 # 4 MB; with 2^27 bits minimal_polynomial(43) peaked at 30 MB against
 # 24 MB, at no measured gain in time (CPython 3.11, 2-vCPU VM)
 _PACK_BITS = 1 << 25
+# Berlekamp-Massey reads up to 2 N_d terms of N_d additions each; this
+# admits N_d <= 4096, every modulus DEFAULT_MATRIX_CAP admits (to d = 78)
+_BM_STEP_CEILING = 2 * 4096 ** 2
 # the circle of the float root seeds, near the largest moduli of the
 # roots but 2, which lie on both sides of it: rho(29) is about 1.5822,
 # rho(37) about 1.6693
@@ -371,33 +374,32 @@ def minimal_polynomial(d: int,
 
     Berlekamp-Massey (Massey 1969) on the terms x M^k y^T mod a prime
     p, x and y seeded by d (Wiedemann 1986), gives a monic f with
-    deg f <= deg mu_M in symmetric residues.  It stops early, once the
-    discrepancy has been zero twice in a row past 2L + 2 terms (Kaltofen
-    and Lee 2003), and if that f fails the proof it runs on to all
-    2 N_d terms on the same prime.  The unit scalings (i, j) -> (ui, uj)
+    deg f <= deg mu_M in symmetric residues, once the discrepancy has
+    been zero twice in a row past 2L + 2 terms (Kaltofen and Lee 2003)
+    or after all 2 N_d terms.  The unit scalings (i, j) -> (ui, uj)
     permute the vertices and commute with M, so the rows of f(M) within
     one orbit are permutations of each other, and e_v f(M) = 0 over Z
-    for one vertex v per orbit proves mu_M | f, so f = mu_M.  p runs up
-    the prime ladder of `exactalg` until the proof holds.  The first
-    prime is abandoned as soon as the running linear complexity L has
-    2 * 3^L >= p, since 3^L bounds the coefficients of a monic degree-L
-    divisor of mu_M (every root has |z| <= 2).  The last prime exceeds
-    every coefficient bound under the matrix cap, and when no prime
-    gives a proof, ResourceLimitError is raised.
+    for one vertex v per orbit proves mu_M | f, so f = mu_M.  Each prime
+    of the `exactalg` ladder gives one f until the proof holds, so a
+    premature early stop costs one rung.  The first prime is abandoned
+    once the running linear complexity L has 2 * 3^L >= p, as 3^L
+    bounds the coefficients of a monic degree-L divisor of mu_M (every
+    root has |z| <= 2); the last exceeds every bound under the matrix
+    cap.  ResourceLimitError when no prime gives a proof, and before
+    any term when the 2 N_d^2 steps of a full run exceed _BM_STEP_CEILING.
     """
     g = _capped_graph(d, max_order)
+    steps = 2 * len(g.vertices) ** 2
+    if steps > _BM_STEP_CEILING:
+        raise ResourceLimitError(f"Berlekamp-Massey mod {d} takes {steps} "
+                                 f"steps, over the ceiling {_BM_STEP_CEILING}")
     units = [u for u in range(1, d) if math.gcd(u, d) == 1]
     reps = sorted({min(g.index[u * i % d, u * j % d] for u in units)
                    for i, j in g.vertices})
     for rung, p in enumerate(exactalg._PRIME_LADDER):
-        max_len = len(g.vertices)
-        if not rung:  # the largest L with 2 * 3^L < p
-            max_len = 0
-            while 2 * 3 ** (max_len + 1) < p:
-                max_len += 1
-        for f in _berlekamp_massey(g, p, max_len):
-            if f and _rows_vanish(g, reps, f):
-                return f
+        f = _berlekamp_massey(g, p, not rung)
+        if f and _rows_vanish(g, reps, f):
+            return f
     raise ResourceLimitError(
         f"minimal polynomial mod {d}: no prime of the ladder certified it")
 
@@ -425,11 +427,10 @@ def _rows_vanish(g: PairGraph, reps: list[int], f: IntPolynomial) -> bool:
     return True
 
 
-def _berlekamp_massey(g: PairGraph, p: int, max_len: int):
-    # the monic generator of the terms x M^k y^T mod p, in symmetric
-    # residues, with x and y seeded by d: yielded once at the early
-    # stop, then after all 2 N_d terms; nothing more once the linear
-    # complexity exceeds max_len
+def _berlekamp_massey(g: PairGraph, p: int, bounded: bool):
+    # the monic generator of the terms x M^k y^T mod p, x and y seeded
+    # by d, lifted at the early stop or after all 2 N_d terms; None when
+    # bounded and the linear complexity L reaches 2 * 3^L >= p
     pred = _predecessors(g.d)
     rng = random.Random(g.d)
     x = [rng.randrange(p) for _ in g.vertices]
@@ -438,9 +439,7 @@ def _berlekamp_massey(g: PairGraph, p: int, max_len: int):
     # linear complexity; prev's lag; the inverse of prev's discrepancy;
     # the zero discrepancies since the last nonzero one
     length, shift, inv, zeros = 0, 1, 1, 0
-    stopped = False
-    terms = 2 * len(g.vertices)
-    for k in range(terms):
+    for k in range(2 * len(g.vertices)):
         seq.append(sum(a * b for a, b in zip(x, y)) % p)
         x = [a % p for a in _step(pred, x)]
         delta = sum(c * s for c, s in zip(conn, reversed(seq))) % p
@@ -453,16 +452,15 @@ def _berlekamp_massey(g: PairGraph, p: int, max_len: int):
                 new[pos] = (new[pos] - coef * c) % p
             if 2 * length <= k:
                 length, prev, shift = k + 1 - length, conn, 0
-                if length > max_len:
-                    return
+                if bounded and 2 * 3 ** length >= p:
+                    return None
                 inv = pow(delta, -1, p)
             conn = new
         shift += 1
-        if k + 1 == terms or (not stopped and zeros >= 2
-                              and k + 1 >= 2 * length + 2):
-            stopped = True
-            # f(z) = z^length conn(1/z); conn has degree at most length
-            yield _symmetric_lift((conn + [0] * length)[length::-1], p)
+        if zeros >= 2 and k + 1 >= 2 * length + 2:
+            break
+    # f(z) = z^length conn(1/z); conn has degree at most length
+    return _symmetric_lift((conn + [0] * length)[length::-1], p)
 
 
 class RootValue(NamedTuple):

@@ -333,6 +333,8 @@ PAST_A_CAP = [
     ("walks", "--d", "9", "--r", "4000"),
     ("hyperbinary", "--d", "4194304", "--n", str(2 ** 40)),
     ("dist", "--d", "24", "--N", str(2 ** 16000 - 1)),
+    ("minpoly", "--d", "200", "--max-matrix-order", "30000"),
+    ("spectral", "--d", "200", "--max-matrix-order", "30000"),
 ]
 
 

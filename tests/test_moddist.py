@@ -18,12 +18,12 @@ from mpmath import mp
 from oracles import (_poly_row, dense_minimal_polynomial, pair_histogram,
                      polyroots, product_density, product_index_I,
                      residue_counts, yun_squarefree_factors)
-from sternseq import (DEFAULT_DIGIT_CAP, DEFAULT_WORK_CAP, ResourceLimitError,
-                      adjacency, count_T, count_block, density, dist_table,
-                      feasible_pairs, graph, graph_export, index_I,
-                      left_step, minimal_polynomial, pair_counts,
-                      right_step, s_mod_pair, spectral, stern, stern_pair,
-                      stern_table, walk_counts)
+from sternseq import (DEFAULT_DIGIT_CAP, DEFAULT_MATRIX_CAP, DEFAULT_WORK_CAP,
+                      ResourceLimitError, adjacency, count_T, count_block,
+                      density, dist_table, feasible_pairs, graph,
+                      graph_export, index_I, left_step, minimal_polynomial,
+                      pair_counts, right_step, s_mod_pair, spectral, stern,
+                      stern_pair, stern_table, walk_counts)
 from sternseq.exactalg import (mat_is_zero, mat_mul, mat_pow, poly_derivative,
                                poly_divmod, poly_eval_matrix, poly_gcd,
                                poly_trim, squarefree_factors)
@@ -319,13 +319,16 @@ def test_minimal_polynomial_golden():
 
 
 def test_minimal_polynomial_annihilates():
-    """f(M) = 0, and f is the first dependency among I, M, M^2, ..."""
+    """f(M) = 0 for d <= 8, and f is the first dependency among I, M,
+    M^2, ... by Fraction elimination for d <= 6; the golden digest pins
+    mu_M past that."""
     for d in range(2, 9):
         f = minimal_polynomial(d)
         assert f[-1] == 1
         m = adjacency(d)
         assert mat_is_zero(poly_eval_matrix(f, m))
-        assert f == dense_minimal_polynomial(m)
+        if d <= 6:
+            assert f == dense_minimal_polynomial(m)
         # 2 is always an eigenvalue: rows sum to 2
         assert sum(c * 2 ** k for k, c in enumerate(f)) == 0
 
@@ -360,8 +363,8 @@ def test_unit_scalings_act_freely():
 @pytest.mark.parametrize("d", [9, 12])
 def test_minimal_polynomial_certificate_rejects_a_divisor(d, monkeypatch):
     """A lift that returns mu_M / (z - 2) fails the packed orbit
-    certificate, at the early stop and after all 2 N_d terms, on a
-    two-rung ladder: the first rung and 2^521 - 1."""
+    certificate on each rung of a two-rung ladder: the first rung and
+    2^521 - 1."""
     lift = sternseq.moddist._symmetric_lift
 
     def lift_divisor(f, p):
@@ -372,25 +375,6 @@ def test_minimal_polynomial_certificate_rejects_a_divisor(d, monkeypatch):
                         sternseq.exactalg._PRIME_LADDER[:2])
     with pytest.raises(ResourceLimitError):
         minimal_polynomial(d)
-
-
-def test_minimal_polynomial_falls_back_to_all_terms(mu, monkeypatch):
-    """When the f of the early stop fails the certificate, the same rung
-    runs on to all 2 N_d terms: a lift that is wrong on its first call
-    only still gives mu_9 on a ladder of the first rung alone."""
-    lift = sternseq.moddist._symmetric_lift
-    calls = []
-
-    def lift_once_wrong(f, p):
-        calls.append(p)
-        out = lift(f, p)
-        return out if len(calls) > 1 else [out[0] + 1] + out[1:]
-
-    monkeypatch.setattr(sternseq.moddist, "_symmetric_lift", lift_once_wrong)
-    monkeypatch.setattr(sternseq.exactalg, "_PRIME_LADDER",
-                        sternseq.exactalg._PRIME_LADDER[:1])
-    assert minimal_polynomial(9) == mu[9]
-    assert calls == [sternseq.exactalg._PRIME_LADDER[0]] * 2
 
 
 def _orbit_reps(g):
@@ -516,34 +500,49 @@ def test_gcd_climbs_the_prime_ladder(monkeypatch):
         ([1, 1], 1), ([-600, 1], 2)]
 
 
+def _spy_berlekamp_massey(monkeypatch):
+    """Patch moddist so that each Berlekamp-Massey call appends (p,
+    bounded, its result, the terms it read) to the returned list; a term
+    is one sparse step."""
+    runs = []
+    steps = [0]
+    bm, step = sternseq.moddist._berlekamp_massey, sternseq.moddist._step
+
+    def counting_step(pairs, vec):
+        steps[0] += 1
+        return step(pairs, vec)
+
+    def spy(g, p, bounded):
+        before = steps[0]
+        f = bm(g, p, bounded)
+        runs.append((p, bounded, f, steps[0] - before))
+        return f
+
+    monkeypatch.setattr(sternseq.moddist, "_step", counting_step)
+    monkeypatch.setattr(sternseq.moddist, "_berlekamp_massey", spy)
+    return runs
+
+
 def test_a_later_rung_fails_its_certificate(mu, monkeypatch):
-    """Past the skipped first rung, a prime too small for the result runs
-    in full, fails the exact certificate, and the ladder climbs: at
-    d = 13 (L = 60, 27-bit coefficients) 2^89 - 1 is abandoned, 2^17 - 1
-    lifts a wrong polynomial at its early stop and again after all
-    2 N_d terms, and 2^521 - 1 gives mu_M at its early stop; the gcd of
+    """Past the skipped first rung, a prime too small for the result
+    gives one wrong f, which fails the exact certificate, and the ladder
+    climbs: at d = 13 (N_d = 168, L = 60, 27-bit coefficients) 2^89 - 1
+    is abandoned, 2^17 - 1 lifts a wrong f at its early stop, 2L + 2
+    terms for the L of that f, and 2^521 - 1 gives mu_M at its early
+    stop, 122 terms; one Berlekamp-Massey run each.  The gcd of
     (z - 600)^2 (z + 1) skips the first 1009, lifts z + 409 mod the
     second, and gets z - 600 from 2^89 - 1."""
     ladder = sternseq.exactalg._PRIME_LADDER
-    runs = []
-    bm = sternseq.moddist._berlekamp_massey
-
-    def spy(g, p, max_len):
-        runs.append([p])
-        for f in bm(g, p, max_len):
-            runs[-1].append(f)
-            yield f
-        runs[-1].append("done")
-
-    monkeypatch.setattr(sternseq.moddist, "_berlekamp_massey", spy)
+    runs = _spy_berlekamp_massey(monkeypatch)
     monkeypatch.setattr(sternseq.exactalg, "_PRIME_LADDER",
                         (ladder[0], (1 << 17) - 1) + ladder[1:])
     assert minimal_polynomial(13) == mu[13]
-    assert [run[0] for run in runs] == [ladder[0], (1 << 17) - 1, ladder[1]]
-    assert runs[0][1:] == ["done"]
-    early, full, done = runs[1][1:]
-    assert done == "done" and mu[13] not in (early, full)
-    assert runs[2][1:] == [mu[13]]
+    assert [run[:2] for run in runs] == [
+        (ladder[0], True), ((1 << 17) - 1, False), (ladder[1], False)]
+    assert runs[0][2] is None and runs[0][3] < 2 * 168
+    _, _, wrong, terms = runs[1]
+    assert wrong != mu[13] and terms == 2 * (len(wrong) - 1) + 2 < 2 * 168
+    assert runs[2][2:] == (mu[13], 2 * 60 + 2)
     monkeypatch.setattr(sternseq.exactalg, "_PRIME_LADDER",
                         (1009, 1009) + ladder)
     assert squarefree_factors([360000, 358800, -1199, 1]) == [
@@ -551,10 +550,12 @@ def test_a_later_rung_fails_its_certificate(mu, monkeypatch):
 
 
 def test_first_rung_completes_through_d12(mu, monkeypatch):
-    """With the ladder cut to its first rung, the packed certificate
-    runs once on the I(d) orbit representatives and passes for every
-    d <= 12, whose mu_M has degree at most 55; at d = 13 (degree 60)
-    Berlekamp-Massey is abandoned before any certificate."""
+    """With the ladder cut to its first rung, Berlekamp-Massey runs once
+    and reads 2L + 2 terms or, at d = 2, all 2 N_d = 6, and the packed
+    certificate runs once on the I(d) orbit representatives and passes,
+    for every d <= 12, whose mu_M has degree at most 55; at d = 13
+    (degree 60) Berlekamp-Massey is abandoned before any certificate."""
+    runs = _spy_berlekamp_massey(monkeypatch)
     seen = []
     rows_vanish = sternseq.moddist._rows_vanish
 
@@ -565,14 +566,19 @@ def test_first_rung_completes_through_d12(mu, monkeypatch):
     monkeypatch.setattr(sternseq.moddist, "_rows_vanish", spy)
     monkeypatch.setattr(sternseq.exactalg, "_PRIME_LADDER",
                         sternseq.exactalg._PRIME_LADDER[:1])
+    p = sternseq.exactalg._PRIME_LADDER[0]
     for d in range(2, 13):
         seen.clear()
+        runs.clear()
         assert minimal_polynomial(d) == mu[d]
         assert seen == [index_I(d)]
+        terms = min(2 * len(mu[d]), 2 * pair_counts(d)[0])
+        assert runs == [(p, True, mu[d], terms)]
     seen.clear()
+    runs.clear()
     with pytest.raises(ResourceLimitError, match="no prime of the ladder"):
         minimal_polynomial(13)
-    assert seen == []
+    assert seen == [] and [run[:3] for run in runs] == [(p, True, None)]
 
 
 def test_minimal_polynomial_matches_the_ladder_without_its_first_rung(
@@ -597,6 +603,33 @@ def test_no_certifying_prime_raises_resource_limit(ladder, monkeypatch):
     with pytest.raises(ResourceLimitError,
                        match="mod 8: no prime of the ladder certified it"):
         minimal_polynomial(8)
+
+
+def test_berlekamp_massey_work_is_bounded(monkeypatch):
+    """The 2 N_d terms of N_d steps each that Berlekamp-Massey may read
+    are bounded before the first term: mod 200 (28,800 vertices) under a
+    raised matrix cap is refused by minimal_polynomial and spectral,
+    while d = 78, whose 4,032 vertices are the most of any modulus
+    DEFAULT_MATRIX_CAP admits, reaches Berlekamp-Massey."""
+
+    class Reached(Exception):
+        pass
+
+    def reached(g, p, bounded):
+        raise Reached(g.d)
+
+    monkeypatch.setattr(sternseq.moddist, "_berlekamp_massey", reached)
+    for compute in (minimal_polynomial, spectral):
+        with pytest.raises(ResourceLimitError,
+                           match="Berlekamp-Massey mod 200 takes 1658880000"):
+            compute(200, max_order=30000)
+    # N_d > d^2 / 2, so no d > 90 is admitted
+    admitted = [d for d in range(2, 91)
+                if pair_counts(d)[0] <= DEFAULT_MATRIX_CAP]
+    assert len(admitted) == 69
+    assert max((pair_counts(d)[0], d) for d in admitted) == (4032, 78)
+    with pytest.raises(Reached):
+        minimal_polynomial(78)
 
 
 def _poly_mul(f, g):
@@ -724,6 +757,19 @@ def test_spectral_d13_degree_60():
     assert len(rep.minimal_poly) - 1 == 60
     assert rep.rho == spectral(9).rho
     assert all(rv.residual < 1e-20 for rv in rep.roots)
+
+
+def test_spectral_golden_digest():
+    """Every field of spectral(d) but the residuals, for d = 2..20,
+    equals a committed record: mu_M, rho, sigma, the multiplicity, tau
+    and each root's value, multiplicity and exactness."""
+    records = []
+    for d in range(2, 21):
+        rep = spectral(d)
+        records.append((*rep[:-1], tuple((rv.value, rv.multiplicity,
+                                          rv.exact) for rv in rep.roots)))
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == (
+        "831e597637d0ae0fd8e9f23f8c82dc1b6aef8432ec8dab3453c5758546361ed6")
 
 
 @pytest.mark.parametrize("d", range(2, 14))
