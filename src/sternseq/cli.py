@@ -28,6 +28,8 @@ FORMAT_VERSION = "1"
 
 #: decimal digits of 2^DEFAULT_DIGIT_CAP, the largest answer printed
 _STR_DIGITS = int(DEFAULT_DIGIT_CAP * math.log10(2)) + 1
+#: Delta(N) is 0, 1, 2 or 3; a trace shares these four strings
+_DELTA3_DIGITS = {v: str(v) for v in range(4)}
 
 
 class UsageError(Exception):
@@ -180,7 +182,7 @@ def _h_value_of_r(fn):  # a3row, t3zero
 
 def _h_delta3(a):
     if a.trace:
-        tr = [str(v) for v in delta3_trace(a.N)]
+        tr = list(map(_DELTA3_DIGITS.__getitem__, delta3_trace(a.N)))
         payload = {"N": str(a.N), "delta": tr[-1], "trace": tr}
         lines = [f"{n}\t{v}" for n, v in enumerate(tr)]
     else:

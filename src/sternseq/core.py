@@ -13,7 +13,7 @@ pairs.
 
 from fractions import Fraction
 from itertools import repeat
-from operator import add, mod as _mod, mul
+from operator import add, mul
 from typing import NamedTuple
 
 #: largest index of a table of s(n); every O(N) path builds one
@@ -114,15 +114,26 @@ def stern_table(limit: int, mod: int | None = None) -> list[int]:
     the even places and s(2n+1) = s(n) + s(n+1) maps `add` over it onto
     the odd ones.  Each slice reads at most _CHUNK + 1 values, all of
     row r or the preset s(2^(r+1)), so no whole-row temporary is made.
-    The workhorse behind every large scan in the package: limit >
-    DEFAULT_TABLE_CAP raises ResourceLimitError before anything is
-    allocated.
+    The odd sums index `canon`, one int object per value 0..F(m + 1),
+    the Fibonacci bound on s(n) for n < 2^m, m = bit_length(limit): the
+    table is one pointer per entry into at most F(m + 1) + 1 shared ints.
+    With a modulus the lookup also reduces (two reduced entries sum to at
+    most 2 mod - 2), sharing at most `mod` ints.  The workhorse behind
+    every large scan in the package: limit > DEFAULT_TABLE_CAP raises
+    ResourceLimitError before anything is allocated.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     if mod is not None and mod < 1:
         raise ValueError("modulus must be positive")
     _check_table(limit)
+    fib, top = 0, 1
+    for _ in range(limit.bit_length()):
+        fib, top = top, fib + top
+    if mod is not None:
+        top = min(top, 2 * mod - 2)
+    canon = list(range(top + 1 if mod is None else min(top + 1, mod)))
+    canon += canon[:top + 1 - len(canon)]
     vals = [0] * (limit + 1)
     one = 1 if mod is None else 1 % mod
     power = 1
@@ -137,10 +148,8 @@ def stern_table(limit: int, mod: int | None = None) -> list[int]:
         src = vals[lo:hi + 1]
         vals[2 * lo:2 * hi:2] = src[:-1]
         k = min(hi, odd_end) - lo
-        odds = map(add, src, src[1:k + 1])
-        if mod is not None:
-            odds = map(_mod, odds, repeat(mod))
-        vals[2 * lo + 1:2 * (lo + k):2] = odds
+        vals[2 * lo + 1:2 * (lo + k):2] = map(canon.__getitem__,
+                                              map(add, src, src[1:k + 1]))
         lo = hi
     return vals
 

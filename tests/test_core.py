@@ -68,11 +68,35 @@ def test_table_matches_scalar_loop_at_every_chunk_edge(chunk, mod):
             assert stern_table(limit, mod) == want[:limit + 1]
 
 
-@pytest.mark.parametrize("mod", [None, 1, 2, 3, 7, 12, 256])
+def _fib(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+CHUNK_LIMITS = ((1 << 17) - 1, (1 << 17) + 1, 3 * (1 << 15) + 1)
+# for each limit, F = F(m + 1) bounds its values (m = bit_length(limit)):
+# moduli around F and around (F + 2) / 2, where 2 mod - 2 crosses F
+EDGE_MODULI = sorted({mod for F in {_fib(n.bit_length() + 1)
+                                    for n in CHUNK_LIMITS}
+                      for mod in (F - 1, F, F + 1,
+                                  (F + 1) // 2, (F + 2) // 2, (F + 4) // 2)})
+
+
+@pytest.mark.parametrize("mod", [None, 1, 2, 3, 7, 12, 256, 257, 10 ** 30,
+                                 *EDGE_MODULI])
 def test_table_matches_scalar_loop_across_real_chunks(mod):
+    """Equal to the oracle, and every entry is one of at most F(m + 1) + 1
+    shared int objects, or of at most `mod` of them."""
     want = stern_table_scalar((1 << 17) + 1, mod)
-    for limit in ((1 << 17) - 1, (1 << 17) + 1, 3 * (1 << 15) + 1):
-        assert stern_table(limit, mod) == want[:limit + 1]
+    for limit in CHUNK_LIMITS:
+        table = stern_table(limit, mod)
+        assert table == want[:limit + 1]
+        shared = _fib(limit.bit_length() + 1) + 1
+        if mod is not None:
+            shared = min(shared, mod)
+        assert len(set(map(id, table))) <= shared, (limit, mod)
 
 
 def test_table_rejects_nonpositive_modulus():

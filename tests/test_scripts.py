@@ -71,6 +71,13 @@ log2_N\tdelta\texact\tfloat\ttrue_err\terr_bound\tbracket_width
 10\t513\t2295.429444\t2295.429444\t1.935e-13\t1.019e-12\t43.500
 """
 
+# the tier-1 ranges of test_spectral_golden_digest and
+# test_minimal_polynomial_golden_digest, with their digests
+SPECTRAL_DIGEST = """\
+spectral\t2\t20\t831e597637d0ae0fd8e9f23f8c82dc1b6aef8432ec8dab3453c5758546361ed6
+minpoly\t2\t26\ta77117f65b2a43ab9ba9982eb4a53d777d1805f231df53ca32aaaf072434bffc
+"""
+
 
 def run_script(name, *args):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -94,6 +101,8 @@ GOLDEN = {
     "alpha_scan.py": (("--lags", "1", "2", "--k-min", "4", "--k-max", "8"),
                       ALPHA_SCAN),
     "d5_range_scan.py": (("--log2-n", "12"), D5_RANGE_SCAN),
+    "spectral_digest.py": (("--spectral", "2", "20", "--minpoly", "2", "26"),
+                           SPECTRAL_DIGEST),
     "sum_error_scan.py": (("--k-min", "2", "--k-max", "10"), SUM_ERROR_SCAN),
 }
 
