@@ -144,7 +144,7 @@ def suite_moddist():
             ok &= lv == v and rv == v
     out.append(("L^d and R^d are the identity", ok, ""))
     ok = True
-    for d in (2, 3, 4, 5):
+    for d in (2, 3, 4, 5, 9, 12):
         M = adjacency(d)
         ok &= all(sum(row) == 2 for row in M)
         ok &= all(sum(col) == 2 for col in zip(*M))

@@ -11,16 +11,18 @@ often each pair occurs in the block [2^r m, 2^r (m+1)).  The same
 doubling step gives the census of every pair over [0, N) in one pass
 down the bits of N, so every count T(N; d, i) is a projection of that
 census.  The adjacency matrix M is applied only as one sparse step in
-pull form, each entry the sum of two others, since L and R are
-permutations: walk counts add the packed rows at L(v) and R(v) of
-M^(r-1), and x M, for the census and for the minimal polynomial, adds
-the entries at the L- and R-predecessor of v.  The minimal polynomial,
-which sets the rate of convergence to the densities, comes from
-Berlekamp-Massey on a scalar sequence mod p, stopped early once its
-linear complexity settles, and is certified over Z on one vertex per
-orbit of the unit scalings, with the rows of f(M) at those vertices
-packed into one int per vertex like the walk counts; the dense
-`exactalg` matrices are the oracle for `verify` and tests.
+pull form, since L and R are permutations: x M adds at each vertex v
+the entries at its L- and R-predecessor.  The unit scalings
+(i, j) -> (ui, uj) commute with L and R, so the rows of any power or
+polynomial of M within one orbit of them are permutations of each
+other.  Walk counts step only the rows of M^r at one vertex per orbit,
+packed into one int per vertex, and permute them onto the rest.  The
+minimal polynomial, which sets the rate of convergence to the
+densities, comes from Berlekamp-Massey on a scalar sequence mod p,
+stopped early once its linear complexity settles, and is certified
+over Z on the same representatives, with the rows of f(M) packed like
+the walk counts; the dense `exactalg` matrices are the oracle for
+`verify` and tests.
 """
 
 import cmath
@@ -222,27 +224,39 @@ def adjacency(d: int, max_order: int = DEFAULT_MATRIX_CAP) -> IntMatrix:
 def walk_counts(d: int, r: int,
                 max_order: int = DEFAULT_MATRIX_CAP) -> IntMatrix:
     """Number of length-r walks between every vertex pair: the rows of
-    M^r (the dense `exactalg.mat_pow` is their oracle).  Row v of M^r is
-    row L(v) plus row R(v) of M^(r-1), so each row is carried as one int
-    of N_d fields of 8 (r // 8 + 1) bits and a step is N_d big-integer
-    additions.  Entries reach 2^r, so no carry crosses a field, r is
-    bounded by the bit cap, and the N_d^2 (r + 1) additions of r-bit
-    entries by the work cap."""
+    M^r (the dense `exactalg.mat_pow` and the all-rows twin in
+    tests/oracles.py are their oracles).  The unit scalings commute with
+    M, so row u v is row v permuted by w -> u^-1 w: only the I(d) rows
+    at the orbit representatives are stepped, one field of 8 (r // 8 + 1)
+    bits each in one int per vertex, by r pull steps x -> x M of N_d
+    big-integer additions.  Entries reach 2^r, so no carry crosses a
+    field.  r is bounded by the bit cap, and N_d^2 (r + 1), the work of
+    stepping every row, by the work cap."""
     _check_bits(r, "walk length")
     g = _capped_graph(d, max_order)
     n = len(g.vertices)
     _check_work(n ** 2 * (r + 1), r, "walk counts")
     width = r // 8 + 1  # bytes per field
-    succ = tuple(zip(g.left, g.right))
-    rows = [1 << 8 * width * v for v in range(n)]
+    reps, home = _orbits(d)
+    pred = _predecessors(d)
+    vec = [0] * n
+    for j, v in enumerate(reps):
+        vec[v] = 1 << 8 * width * j
     for _ in range(r):
-        rows = _step(succ, rows)
-    out = []
-    for row in rows:
-        raw = row.to_bytes(n * width, "little")
-        out.append([int.from_bytes(raw[k:k + width], "little")
-                    for k in range(0, n * width, width)])
-    return out
+        vec = _step(pred, vec)
+    # field j of vec[w] is M^r[reps[j], w]
+    span = range(0, len(reps) * width, width)
+    cols = []
+    for x in vec:
+        raw = x.to_bytes(len(reps) * width, "little")
+        cols.append([int.from_bytes(raw[k:k + width], "little")
+                     for k in span])
+    rep_rows = list(zip(*cols))
+    inverses = {u: pow(u, -1, d) for _, u in home}
+    # perms[u][w] is the index of u^-1 w
+    perms = {u: [g.index[v * i % d, v * j % d] for i, j in g.vertices]
+             for u, v in inverses.items()}
+    return [list(map(rep_rows[j].__getitem__, perms[u])) for j, u in home]
 
 
 def _step(pairs: tuple[tuple[int, int], ...], vec: list) -> list:
@@ -260,6 +274,23 @@ def _predecessors(d: int) -> tuple[tuple[int, int], ...]:
     g = graph(d)
     return tuple((g.index[i, (j - i) % d], g.index[(i - j) % d, j])
                  for i, j in g.vertices)
+
+
+@lru_cache(maxsize=64)
+def _orbits(d: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    # (reps, home): reps the least vertex of each orbit of the unit
+    # scalings (i, j) -> (ui, uj), increasing, and home[v] = (j, u) with
+    # v = u reps[j]; the action is free, so this costs N_d lookups.
+    # Cached apart from graph(d), as _predecessors is
+    g = graph(d)
+    units = [u for u in range(1, d) if math.gcd(u, d) == 1]
+    reps, home = [], [None] * len(g.vertices)
+    for v, (i, j) in enumerate(g.vertices):
+        if home[v] is None:
+            for u in units:
+                home[g.index[u * i % d, u * j % d]] = (len(reps), u)
+            reps.append(v)
+    return tuple(reps), tuple(home)
 
 
 def _pair_census(N: int, d: int,
@@ -393,9 +424,7 @@ def minimal_polynomial(d: int,
     if steps > _BM_STEP_CEILING:
         raise ResourceLimitError(f"Berlekamp-Massey mod {d} takes {steps} "
                                  f"steps, over the ceiling {_BM_STEP_CEILING}")
-    units = [u for u in range(1, d) if math.gcd(u, d) == 1]
-    reps = sorted({min(g.index[u * i % d, u * j % d] for u in units)
-                   for i, j in g.vertices})
+    reps = _orbits(d)[0]
     for rung, p in enumerate(exactalg._PRIME_LADDER):
         f = _berlekamp_massey(g, p, not rung)
         if f and _rows_vanish(g, reps, f):
@@ -404,7 +433,8 @@ def minimal_polynomial(d: int,
         f"minimal polynomial mod {d}: no prime of the ladder certified it")
 
 
-def _rows_vanish(g: PairGraph, reps: list[int], f: IntPolynomial) -> bool:
+def _rows_vanish(g: PairGraph, reps: tuple[int, ...],
+                 f: IntPolynomial) -> bool:
     # whether e_v f(M) = 0 over Z for every v in reps, by Horner, one
     # sparse step per coefficient, on the rows of a group of reps
     # packed into one int per vertex, one signed field of W bits per

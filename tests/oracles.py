@@ -233,6 +233,24 @@ def dense_minimal_polynomial(M):
                  for row in power]
 
 
+def walk_rows(g, r):
+    """The rows of M^r for the pair graph g with every row stepped:
+    row v of M^r is row L(v) plus row R(v) of M^(r-1), from the
+    identity.  Each row is one int of N_d fields of 8 (r // 8 + 1)
+    bits, which entries of at most 2^r never overflow."""
+    n = len(g.vertices)
+    width = r // 8 + 1
+    rows = [1 << 8 * width * v for v in range(n)]
+    for _ in range(r):
+        rows = [rows[a] + rows[b] for a, b in zip(g.left, g.right)]
+    out = []
+    for row in rows:
+        raw = row.to_bytes(n * width, "little")
+        out.append([int.from_bytes(raw[k:k + width], "little")
+                    for k in range(0, n * width, width)])
+    return out
+
+
 def _poly_row(g, v, f):
     """Row v of f(M) for the pair graph g, e_v f(M), by Horner: x M
     gives each vertex u's entry x_u to both of its successors L(u) and

@@ -1,5 +1,6 @@
 """Residue-pair walk graph, counts, densities, exact spectra."""
 import hashlib
+import io
 import json
 import math
 import os
@@ -17,17 +18,18 @@ import sternseq
 from mpmath import mp
 from oracles import (_poly_row, dense_minimal_polynomial, pair_histogram,
                      polyroots, product_density, product_index_I,
-                     residue_counts, yun_squarefree_factors)
+                     residue_counts, walk_rows, yun_squarefree_factors)
 from sternseq import (DEFAULT_DIGIT_CAP, DEFAULT_MATRIX_CAP, DEFAULT_WORK_CAP,
                       ResourceLimitError, adjacency, count_T, count_block,
                       density, dist_table, feasible_pairs, graph,
                       graph_export, index_I, left_step, minimal_polynomial,
                       pair_counts, right_step, s_mod_pair, spectral, stern,
                       stern_pair, stern_table, walk_counts)
+from sternseq.cli import run as cli_run
 from sternseq.exactalg import (mat_is_zero, mat_mul, mat_pow, poly_derivative,
                                poly_divmod, poly_eval_matrix, poly_gcd,
                                poly_trim, squarefree_factors)
-from sternseq.moddist import _predecessors
+from sternseq.moddist import _orbits, _predecessors
 
 ADJ3 = [
     [1, 0, 0, 1, 0, 0, 0, 0],
@@ -162,6 +164,30 @@ def test_walk_counts_match_dense_power(d, r):
     """Packed rows against the dense oracle, across field widths of
     one to six bytes; r = 7, 8, 15 and 16 sit on the width steps."""
     assert walk_counts(d, r) == mat_pow(adjacency(d), r)
+
+
+def _admitted_walks(d):
+    # (d, r) for the walk lengths r <= 64 whose N_d^2 (r + 1) steps the
+    # work cap admits
+    cap = DEFAULT_WORK_CAP // pair_counts(d)[0] ** 2 - 1
+    return st.tuples(st.just(d), st.integers(0, min(64, cap)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 40).flatmap(_admitted_walks))
+@example((2, 7))
+@example((2, 16))
+@example((9, 8))
+@example((9, 15))
+@example((12, 16))
+@example((12, 7))
+@example((30, 8))
+def test_walk_counts_match_all_rows_twin(case):
+    """The rows stepped at the orbit representatives and permuted onto
+    the rest equal the twin that steps every row, at phi(d) = 1 (d = 2)
+    and across field widths: r = 7, 8, 15 and 16 sit on the steps."""
+    d, r = case
+    assert walk_counts(d, r) == walk_rows(graph(d), r)
 
 
 def test_steps_are_permutations():
@@ -350,14 +376,26 @@ def test_minimal_polynomial_past_the_dense_range(mu):
 
 def test_unit_scalings_act_freely():
     """(i, j) -> (ui, uj) permutes the feasible pairs in index_I(d)
-    orbits of phi(d) vertices each; the certificate of
-    minimal_polynomial checks one row per orbit."""
-    for d in range(2, 41):
+    orbits of phi(d) vertices each and commutes with L and R, at every
+    modulus the matrix cap admits; _orbits gives the certificate of
+    minimal_polynomial the same representatives as _orbit_reps, and
+    walk_counts a home (j, u) with v = u reps[j] for every vertex v."""
+    for d in [*range(2, 67), 68, 70, 72, 78]:
         units = [u for u in range(1, d) if math.gcd(u, d) == 1]
         orbits = {frozenset((u * i % d, u * j % d) for u in units)
                   for i, j in feasible_pairs(d)}
         assert len(orbits) == index_I(d)
         assert all(len(orbit) == len(units) for orbit in orbits)
+        g = graph(d)
+        reps, home = _orbits(d)
+        assert list(reps) == _orbit_reps(g)
+        scaled = {u: [g.index[u * i % d, u * j % d] for i, j in g.vertices]
+                  for u in units}
+        assert all(scaled[u][reps[j]] == v for v, (j, u) in enumerate(home))
+        for u, perm in scaled.items():
+            assert all(perm[g.left[v]] == g.left[w] and
+                       perm[g.right[v]] == g.right[w]
+                       for v, w in enumerate(perm))
 
 
 @pytest.mark.parametrize("d", [9, 12])
@@ -891,7 +929,15 @@ def test_integer_log2(x):
 
 
 def test_graph_export_dot():
+    """The DOT export, which builds no orbit table: that is cached
+    apart from graph(d) and only walks and the certificate read it."""
     dot = graph_export(2)
     assert dot.splitlines()[0] == "digraph stern_pairs_mod_2 {"
     assert '"(1,1)" -> "(0,1)" [label="R"];' in dot
     assert dot.count("->") == 6
+    misses = _orbits.cache_info().misses
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["graph", "--d", "147", "--dot", "--max-matrix-order", "20000"]
+    assert (cli_run(argv, stdout=out, stderr=err), err.getvalue()) == (0, "")
+    assert out.getvalue().count("->") == 2 * pair_counts(147)[0]
+    assert _orbits.cache_info().misses == misses
