@@ -16,7 +16,8 @@ the entries at its L- and R-predecessor.  The unit scalings
 (i, j) -> (ui, uj) commute with L and R, so the rows of any power or
 polynomial of M within one orbit of them are permutations of each
 other.  Walk counts step only the rows of M^r at one vertex per orbit,
-packed into one int per vertex, and permute them onto the rest.  The
+packed into one int per vertex, decode them by shift and mask, and
+gather the rest through cached index tables, one per unit.  The
 minimal polynomial, which sets the rate of convergence to the
 densities, comes from Berlekamp-Massey on a scalar sequence mod p,
 stopped early once its linear complexity settles, and is certified
@@ -31,6 +32,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import (DEFAULT_TABLE_CAP, ResourceLimitError, _check_bits,
@@ -230,33 +232,28 @@ def walk_counts(d: int, r: int,
     at the orbit representatives are stepped, one field of 8 (r // 8 + 1)
     bits each in one int per vertex, by r pull steps x -> x M of N_d
     big-integer additions.  Entries reach 2^r, so no carry crosses a
-    field.  r is bounded by the bit cap, and N_d^2 (r + 1), the work of
-    stepping every row, by the work cap."""
+    field.  The fields are decoded by shift and mask, and every row is
+    gathered from its representative's through the index table of its
+    unit, cached in _gathers(d).  r is bounded by the bit cap, and
+    N_d^2 (r + 1), the work of stepping every row, by the work cap."""
     _check_bits(r, "walk length")
     g = _capped_graph(d, max_order)
     n = len(g.vertices)
     _check_work(n ** 2 * (r + 1), r, "walk counts")
-    width = r // 8 + 1  # bytes per field
-    reps, home = _orbits(d)
+    bits = 8 * (r // 8 + 1)  # per field
+    reps = _orbits(d)[0]
     pred = _predecessors(d)
     vec = [0] * n
     for j, v in enumerate(reps):
-        vec[v] = 1 << 8 * width * j
+        vec[v] = 1 << bits * j
     for _ in range(r):
         vec = _step(pred, vec)
     # field j of vec[w] is M^r[reps[j], w]
-    span = range(0, len(reps) * width, width)
-    cols = []
-    for x in vec:
-        raw = x.to_bytes(len(reps) * width, "little")
-        cols.append([int.from_bytes(raw[k:k + width], "little")
-                     for k in span])
-    rep_rows = list(zip(*cols))
-    inverses = {u: pow(u, -1, d) for _, u in home}
-    # perms[u][w] is the index of u^-1 w
-    perms = {u: [g.index[v * i % d, v * j % d] for i, j in g.vertices]
-             for u, v in inverses.items()}
-    return [list(map(rep_rows[j].__getitem__, perms[u])) for j, u in home]
+    mask = (1 << bits) - 1
+    rep_rows = [[x >> s & mask for x in vec]
+                for s in range(0, bits * len(reps), bits)]
+    # N_d >= 3, so every getter returns a tuple
+    return [list(get(rep_rows[j])) for j, get in _gathers(d)]
 
 
 def _step(pairs: tuple[tuple[int, int], ...], vec: list) -> list:
@@ -291,6 +288,19 @@ def _orbits(d: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
                 home[g.index[u * i % d, u * j % d]] = (len(reps), u)
             reps.append(v)
     return tuple(reps), tuple(home)
+
+
+@lru_cache(maxsize=64)
+def _gathers(d: int) -> tuple[tuple[int, itemgetter], ...]:
+    # (j, get) for every vertex v = u reps[j], get picking the entries at
+    # u^-1 w for w = 0, 1, ...: it maps row reps[j] of any power of M to
+    # row v.  One getter per unit, cached apart from graph(d) like _orbits
+    g, home = graph(d), _orbits(d)[1]
+    inverses = {u: pow(u, -1, d) for _, u in home}
+    gets = {u: itemgetter(*[g.index[v * i % d, v * j % d]
+                            for i, j in g.vertices])
+            for u, v in inverses.items()}
+    return tuple((j, gets[u]) for j, u in home)
 
 
 def _pair_census(N: int, d: int,

@@ -37,6 +37,12 @@ BUILDS = {
                      "with open(os.devnull, 'w') as out:\n"
                      "    assert cli.run(['delta3', '--N', str(2 ** 20),\n"
                      "                    '--trace'], stdout=out) == 0", 120),
+    # the rows of M^1 mod 40 and their tsv strings: about 81 bytes
+    "walks": ("from sternseq import cli",
+              "entries = 1152 ** 2\n"
+              "with open(os.devnull, 'w') as out:\n"
+              "    assert cli.run(['walks', '--d', '40', '--r', '1'],\n"
+              "                   stdout=out) == 0", 100),
 }
 
 

@@ -29,7 +29,7 @@ from sternseq.cli import run as cli_run
 from sternseq.exactalg import (mat_is_zero, mat_mul, mat_pow, poly_derivative,
                                poly_divmod, poly_eval_matrix, poly_gcd,
                                poly_trim, squarefree_factors)
-from sternseq.moddist import _orbits, _predecessors
+from sternseq.moddist import _gathers, _orbits, _predecessors
 
 ADJ3 = [
     [1, 0, 0, 1, 0, 0, 0, 0],
@@ -143,13 +143,18 @@ def test_adjacency_cap():
 
 
 def test_walk_counts_identity_and_composition():
+    """M^0 = I and M^7 = M^3 M^4, returned as lists that share no row
+    object, so a caller may change one row without touching another."""
     for d in (2, 3, 5):
         n = pair_counts(d)[0]
         assert walk_counts(d, 0) == [[int(i == j) for j in range(n)]
                                      for i in range(n)]
         assert walk_counts(d, 7) == mat_mul(walk_counts(d, 3),
                                             walk_counts(d, 4))
-        assert walk_counts(d, 7) == mat_pow(adjacency(d), 7)
+        rows = walk_counts(d, 7)
+        assert rows == mat_pow(adjacency(d), 7)
+        assert all(type(row) is list for row in rows)
+        assert len({id(row) for row in rows}) == n
 
 
 @settings(max_examples=40, deadline=None)
@@ -182,10 +187,15 @@ def _admitted_walks(d):
 @example((12, 16))
 @example((12, 7))
 @example((30, 8))
+@example((9, 63))
+@example((9, 64))
+@example((30, 5))
+@example((40, 1))
 def test_walk_counts_match_all_rows_twin(case):
-    """The rows stepped at the orbit representatives and permuted onto
+    """The rows stepped at the orbit representatives and gathered onto
     the rest equal the twin that steps every row, at phi(d) = 1 (d = 2)
-    and across field widths: r = 7, 8, 15 and 16 sit on the steps."""
+    and across field widths and masks: r = 7, 8, 15, 16, 63 and 64 sit
+    on the steps."""
     d, r = case
     assert walk_counts(d, r) == walk_rows(graph(d), r)
 
@@ -379,7 +389,8 @@ def test_unit_scalings_act_freely():
     orbits of phi(d) vertices each and commutes with L and R, at every
     modulus the matrix cap admits; _orbits gives the certificate of
     minimal_polynomial the same representatives as _orbit_reps, and
-    walk_counts a home (j, u) with v = u reps[j] for every vertex v."""
+    walk_counts a home (j, u) with v = u reps[j] for every vertex v and,
+    in _gathers, that j with the index table w -> u^-1 w."""
     for d in [*range(2, 67), 68, 70, 72, 78]:
         units = [u for u in range(1, d) if math.gcd(u, d) == 1]
         orbits = {frozenset((u * i % d, u * j % d) for u in units)
@@ -392,6 +403,13 @@ def test_unit_scalings_act_freely():
         scaled = {u: [g.index[u * i % d, u * j % d] for i, j in g.vertices]
                   for u in units}
         assert all(scaled[u][reps[j]] == v for v, (j, u) in enumerate(home))
+        gathers = _gathers(d)
+        assert len(gathers) == len(home)
+        units_of = {}  # each getter serves one unit
+        for (j, get), (k, u) in zip(gathers, home):
+            assert j == k and units_of.setdefault(get, u) == u
+        assert all(list(get(range(len(home)))) == scaled[pow(u, -1, d)]
+                   for get, u in units_of.items())
         for u, perm in scaled.items():
             assert all(perm[g.left[v]] == g.left[w] and
                        perm[g.right[v]] == g.right[w]
