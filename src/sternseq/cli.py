@@ -3,8 +3,11 @@
 Every subcommand accepts --format tsv|json (tsv default) and produces
 byte-identical output for identical invocations.  JSON results arrive
 in a versioned envelope and serialise unbounded integers as decimal
-strings.  Exit codes: 0 success, 1 usage error (or failed verify
-suite), 2 domain error, 3 resource cap, 4 numerical non-convergence.
+strings.  A large output (a row, a trace, a matrix, a graph) is written
+in blocks of about 4096 entries, and only after every check has passed,
+so an error leaves stdout empty.  Exit codes: 0 success, 1 usage error
+(or failed verify suite), 2 domain error, 3 resource cap, 4 numerical
+non-convergence.
 """
 
 import argparse
@@ -12,13 +15,13 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain, count, islice, pairwise, starmap
 
-from .core import (DEFAULT_DIGIT_CAP, ResourceLimitError, diatomic_row,
-                   stern, stern_pair, stern_ratio)
-from .enumeration import (INFINITY, brocot_row, index_of_rational,
-                          minkowski_q, rational_of_index)
+from .core import (DEFAULT_DIGIT_CAP, ResourceLimitError, _check_row,
+                   diatomic_row, stern, stern_pair, stern_ratio)
+from .enumeration import index_of_rational, minkowski_q, rational_of_index
 from .moddist import (DEFAULT_MATRIX_CAP, NonConvergenceError, _capped_graph,
-                      dist_table, graph_export, index_I, minimal_polynomial,
+                      _dot_lines, dist_table, index_I, minimal_polynomial,
                       spectral, walk_counts)
 from .smalld import (a3_enumerate, a3_row_count, delta3, delta3_trace,
                      hyperbinary, t3_zero_closed)
@@ -28,8 +31,8 @@ FORMAT_VERSION = "1"
 
 #: decimal digits of 2^DEFAULT_DIGIT_CAP, the largest answer printed
 _STR_DIGITS = int(DEFAULT_DIGIT_CAP * math.log10(2)) + 1
-#: Delta(N) is 0, 1, 2 or 3; a trace shares these four strings
-_DELTA3_DIGITS = {v: str(v) for v in range(4)}
+#: entries per block of a large output, each written before the next
+_BLOCK = 1 << 12
 
 
 class UsageError(Exception):
@@ -45,17 +48,59 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-# each handler returns (params, payload, tsv lines); _value and
-# _fraction build the two shapes that several commands share
+class _Text:
+    """Blocks of lines that the JSON output holds as one string."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+
+
+def _blocks(items):
+    it = iter(items)
+    return iter(lambda: list(islice(it, _BLOCK)), [])
+
+
+def _tsv(blocks):
+    return ("\n".join(block) + "\n" for block in blocks)
+
+
+def _json(field):
+    """The JSON text of a field given in blocks: an array, or a string."""
+    if isinstance(field, _Text):
+        yield '"'
+        yield from (json.dumps(text)[1:-1] for text in _tsv(field.blocks))
+        yield '"'
+        return
+    sep = "["
+    for block in field:
+        yield sep + json.dumps(block)[1:-1]
+        sep = ", "
+    yield "[]" if sep == "[" else "]"
+
+
+def _row(r, a, b):
+    """Row r of the diatomic array from (a, b), checked first, then made
+    in blocks: the row of each two neighbours of a shorter row."""
+    _check_row(r, a, b)
+    c = min(r, _BLOCK.bit_length() - 1)
+    top = diatomic_row(r - c, a, b)
+    blocks = (diatomic_row(c, x, y)[:-1] for x, y in pairwise(top))
+    return chain(chain.from_iterable(blocks), top[-1:])
+
+
+# each handler checks, then returns (params, payload, blocks of tsv
+# lines), one payload field in blocks too if large: run writes only one
+# of the two, so they may share an iterator; _value and _fraction build
+# the two shapes that several commands share
 
 def _value(params, v):
     v = str(v)
-    return params, {"value": v}, [v]
+    return params, {"value": v}, [[v]]
 
 
 def _fraction(params, x):
     return (params, {"num": str(x.numerator), "den": str(x.denominator)},
-            [_frac(x)])
+            [[_frac(x)]])
 
 
 def _h_stern(a):
@@ -65,7 +110,7 @@ def _h_stern(a):
 def _h_pair(a):
     left, right = stern_pair(a.n)
     return ({"n": str(a.n)}, {"left": str(left), "right": str(right)},
-            [f"{left}\t{right}"])
+            [[f"{left}\t{right}"]])
 
 
 def _h_fraction_of_n(fn):  # ratio, rational
@@ -80,26 +125,26 @@ def _p_over_q(a) -> Fraction:
 
 def _h_index(a):
     n = index_of_rational(_p_over_q(a))
-    return ({"p": str(a.p), "q": str(a.q)}, {"index": str(n)}, [str(n)])
+    return ({"p": str(a.p), "q": str(a.q)}, {"index": str(n)}, [[str(n)]])
 
 
 def _h_row(a):
-    values = [str(v) for v in diatomic_row(a.r, a.a, a.b)]
+    values = _blocks(map(str, _row(a.r, a.a, a.b)))
     return ({"r": a.r, "a": str(a.a), "b": str(a.b)},
             {"values": values}, values)
 
 
 def _h_brocot(a):
-    row = brocot_row(a.r)
-    strs = [_frac(x) if x is not INFINITY else "1/0" for x in row]
-    return {"r": a.r}, {"entries": strs}, strs
+    # s(k) / s(2^r - k): rows r from (0, 1) and from (1, 0)
+    entries = _blocks(map("{}/{}".format, _row(a.r, 0, 1), _row(a.r, 1, 0)))
+    return {"r": a.r}, {"entries": entries}, entries
 
 
 def _h_minkowski(a):
     y = minkowski_q(_p_over_q(a))
     return ({"p": str(a.p), "q": str(a.q)},
             {"numerator": str(y.numerator), "exponent": y.exponent},
-            [f"{y.numerator}/{1 << y.exponent}"])
+            [[f"{y.numerator}/{1 << y.exponent}"]])
 
 
 def _h_dist(a):
@@ -119,31 +164,26 @@ def _h_dist(a):
         pairs = {f"{i},{j}": str(c) for (i, j), c in t.pair_counts.items()}
         payload["pair_counts"] = pairs
         lines.extend(f"pair\t{key}\t{c}" for key, c in pairs.items())
-    return {"d": a.d, "N": str(a.N)}, payload, lines
+    return {"d": a.d, "N": str(a.N)}, payload, [lines]
 
 
 def _h_graph(a):
-    if a.dot:
-        dot = graph_export(a.d, max_order=a.max_matrix_order)
-        return ({"d": a.d, "dot": True}, {"dot": dot},
-                dot.rstrip("\n").split("\n"))
     g = _capped_graph(a.d, a.max_matrix_order)
-    edges = []
-    for pos, (i, j) in enumerate(g.vertices):
-        for tag, nxt in (("L", g.left[pos]), ("R", g.right[pos])):
-            vi, vj = g.vertices[nxt]
-            edges.append((i, j, tag, vi, vj))
-    payload = {"d": a.d,
-               "vertices": [[i, j] for i, j in g.vertices],
-               "edges": [[i, j, tag, vi, vj] for i, j, tag, vi, vj in edges]}
-    lines = [f"{i}\t{j}\t{tag}\t{vi}\t{vj}" for i, j, tag, vi, vj in edges]
+    if a.dot:
+        lines = _blocks(_dot_lines(a.d, g))
+        return {"d": a.d, "dot": True}, {"dot": _Text(lines)}, lines
+    edges = ((i, j, tag, *g.vertices[nxt])
+             for pos, (i, j) in enumerate(g.vertices)
+             for tag, nxt in (("L", g.left[pos]), ("R", g.right[pos])))
+    payload = {"d": a.d, "vertices": g.vertices, "edges": _blocks(edges)}
+    lines = _blocks(starmap("{}\t{}\t{}\t{}\t{}".format, edges))
     return {"d": a.d, "dot": False}, payload, lines
 
 
 def _h_minpoly(a):
     coefs = [str(c) for c in minimal_polynomial(
         a.d, max_order=a.max_matrix_order)]
-    return {"d": a.d}, {"coefficients": coefs}, ["\t".join(coefs)]
+    return {"d": a.d}, {"coefficients": coefs}, [["\t".join(coefs)]]
 
 
 def _h_spectral(a):
@@ -161,18 +201,19 @@ def _h_spectral(a):
         lines.append(f"root\t{rv.value.real!r}\t{rv.value.imag!r}"
                      f"\t{rv.multiplicity}\t{rv.residual!r}"
                      f"\t{int(rv.exact)}")
-    return {"d": a.d}, payload, lines
+    return {"d": a.d}, payload, [lines]
 
 
 def _h_walks(a):
-    M = [[str(e) for e in row]
-         for row in walk_counts(a.d, a.r, max_order=a.max_matrix_order)]
-    return ({"d": a.d, "r": a.r}, {"matrix": M},
-            ["\t".join(row) for row in M])
+    # one row, a tsv line or a json array, in each block
+    M = walk_counts(a.d, a.r, max_order=a.max_matrix_order)
+    return ({"d": a.d, "r": a.r},
+            {"matrix": ([list(map(str, row))] for row in M)},
+            (["\t".join(map(str, row))] for row in M))
 
 
 def _h_a3(a):
-    members = [str(m) for m in a3_enumerate(a.limit)]
+    members = _blocks(map(str, a3_enumerate(a.limit)))
     return {"limit": str(a.limit)}, {"members": members}, members
 
 
@@ -182,13 +223,14 @@ def _h_value_of_r(fn):  # a3row, t3zero
 
 def _h_delta3(a):
     if a.trace:
-        tr = list(map(_DELTA3_DIGITS.__getitem__, delta3_trace(a.N)))
-        payload = {"N": str(a.N), "delta": tr[-1], "trace": tr}
-        lines = [f"{n}\t{v}" for n, v in enumerate(tr)]
+        tr = delta3_trace(a.N)
+        payload = {"N": str(a.N), "delta": str(tr[-1]),
+                   "trace": _blocks(map(str, tr))}
+        lines = _blocks(map("{}\t{}".format, count(), tr))
     else:
         v = delta3(a.N)
         payload = {"N": str(a.N), "delta": str(v)}
-        lines = [str(v)]
+        lines = [[str(v)]]
     return {"N": str(a.N), "trace": a.trace}, payload, lines
 
 
@@ -213,13 +255,13 @@ def _h_sum(a):
     if rep.exact_sum is not None:
         payload["exact"] = _frac(rep.exact_sum)
         lines.append(f"exact\t{_frac(rep.exact_sum)}")
-    return {"N": str(a.N), "mode": mode}, payload, lines
+    return {"N": str(a.N), "mode": mode}, payload, [lines]
 
 
 def _h_alpha(a):
     v = alpha_estimate(a.t, a.N)
     return ({"t": a.t, "N": str(a.N)},
-            {"empirical_alpha": v}, [f"empirical_alpha\t{v!r}"])
+            {"empirical_alpha": v}, [[f"empirical_alpha\t{v!r}"]])
 
 
 def _h_verify(a):
@@ -236,7 +278,7 @@ def _h_verify(a):
         mark = "ok" if ok else "FAIL"
         lines.append(f"{mark}\t{n}" + (f"\t{det}" if det else ""))
     lines.append(f"passed\t{passed}\tfailed\t{failed}")
-    return {"suite": a.suite}, payload, lines
+    return {"suite": a.suite}, payload, [lines]
 
 
 def build_parser() -> _Parser:
@@ -327,9 +369,13 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         envelope = {"format_version": FORMAT_VERSION,
                     "command": args.command, "params": params,
                     "result": payload}
-        print(json.dumps(envelope, sort_keys=True), file=out)
-    elif lines:
-        out.write("\n".join(lines) + "\n")
+        big = []  # a field in blocks is dumped as "\0", then written
+        text = json.dumps(envelope, sort_keys=True,
+                          default=lambda f: big.append(f) or "\0")
+        head, _, tail = text.partition('"\\u0000"')
+        out.writelines(chain([head], *map(_json, big), [tail + "\n"]))
+    else:
+        out.writelines(_tsv(lines))
     if args.command == "verify" and payload["failed"]:
         return 1
     return 0

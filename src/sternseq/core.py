@@ -177,6 +177,14 @@ def stern_row_head(r: int, count: int) -> list[int]:
                                    repeat(r - m))))
 
 
+def _check_row(r: int, a: int, b: int):
+    """The checks of diatomic_row(r, a, b), run before it allocates."""
+    _check_bits(r, "row exponent")
+    _check_table(1 << r)
+    bits = max(a.bit_length(), b.bit_length()) + r
+    _check_work((1 << r) * (1 + bits // 30), bits, "row entries")
+
+
 def diatomic_row(r: int, a: int, b: int) -> list[int]:
     """Row r of the diatomic array with seed row (a, b).
 
@@ -188,10 +196,7 @@ def diatomic_row(r: int, a: int, b: int) -> list[int]:
     word of each, so it bounds the row's memory and, with its charge
     per 8192 bits, the quadratic cost of writing the row in decimal.
     """
-    _check_bits(r, "row exponent")
-    _check_table(1 << r)
-    bits = max(a.bit_length(), b.bit_length()) + r
-    _check_work((1 << r) * (1 + bits // 30), bits, "row entries")
+    _check_row(r, a, b)
     row = [a, b]
     for _ in range(r):
         new = [0] * (2 * len(row) - 1)

@@ -776,16 +776,19 @@ def spectral(d: int, max_order: int = DEFAULT_MATRIX_CAP) -> SpectralReport:
                           tuple(roots))
 
 
-def graph_export(d: int, max_order: int = DEFAULT_MATRIX_CAP) -> str:
-    """The pair digraph in DOT form, deterministic lex emission order."""
-    g = _capped_graph(d, max_order)
-    lines = [f"digraph stern_pairs_mod_{d} {{"]
+def _dot_lines(d: int, g: PairGraph):
+    """The lines of graph_export, made one at a time."""
+    yield f"digraph stern_pairs_mod_{d} {{"
     for i, j in g.vertices:
-        lines.append(f'  "({i},{j})";')
+        yield f'  "({i},{j})";'
     for pos, (i, j) in enumerate(g.vertices):
         li, lj = g.vertices[g.left[pos]]
         ri, rj = g.vertices[g.right[pos]]
-        lines.append(f'  "({i},{j})" -> "({li},{lj})" [label="L"];')
-        lines.append(f'  "({i},{j})" -> "({ri},{rj})" [label="R"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  "({i},{j})" -> "({li},{lj})" [label="L"];'
+        yield f'  "({i},{j})" -> "({ri},{rj})" [label="R"];'
+    yield "}"
+
+
+def graph_export(d: int, max_order: int = DEFAULT_MATRIX_CAP) -> str:
+    """The pair digraph in DOT form, deterministic lex emission order."""
+    return "\n".join(_dot_lines(d, _capped_graph(d, max_order))) + "\n"

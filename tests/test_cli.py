@@ -164,6 +164,35 @@ def test_golden_tsv(argv, expected):
      "5a8d1f256b8f46c4021e42bc9362c6de0d64e2e0ebde9feaa3af88d748774792"),
     (("walks", "--d", "40", "--r", "1"), "tsv",
      "c6002db9e20b1451ea6939eb041ab85274f5ae9728fe53fed715f3d893de77a3"),
+    # outputs of many blocks, each ending part way through a block
+    (("row", "17", "1000003", "654321"), "tsv",
+     "add9b1e9924f9f6971896265bbcab96ce34640102b4427e93093f8be32771c1d"),
+    (("row", "17", "1000003", "654321"), "json",
+     "dbaa9b4c211d590cc51075732577c8f797c20b8d257302a38bc4b09ccc68ca50"),
+    (("row", "13", "5", "7"), "tsv",
+     "1540229c173ffdda2266af0467773e5783869835be771f23a7f3ae85ce9a54b6"),
+    (("brocot", "16"), "tsv",
+     "bf506233bf22b1d7e5cd854d774eee13eb574ce25ac2a2537c9536058033d83c"),
+    (("brocot", "16"), "json",
+     "f653777e06c489a25a105cd73a9ccdaf1660ce40547fc40e8cc00b639ced0585"),
+    (("brocot", "13"), "tsv",
+     "4d79f626ca7babe4877098886282da28b1c259a7abb019f8153ba81768f66b54"),
+    (("delta3", "--N", "74000", "--trace"), "tsv",
+     "bde38674c7f92409d90f462e5a218170097111995e74b449222a5e9119f83168"),
+    (("delta3", "--N", "74000", "--trace"), "json",
+     "a1945575ed688c269debebe7b144dc8e5e00bb4f5fad71822ae8445b34248319"),
+    (("graph", "--d", "147", "--dot", "--max-matrix-order", "32768"), "tsv",
+     "e26b60c2b2635b0f7d18afe616c9fd63987328ce88f7af57fcae6f5412756a8c"),
+    (("graph", "--d", "147", "--dot", "--max-matrix-order", "32768"), "json",
+     "4ec271bb6c2f7e20ab9550cab718a0fc290726be39ffcb0609cd528c5fe562de"),
+    (("graph", "--d", "30"), "tsv",
+     "7e785329a320b5c165da5fba20cca14b1175e8bcb349c80596176c666f6c3060"),
+    (("graph", "--d", "30"), "json",
+     "ca44af4db69a6151a20df042bea3db3edf0830134f3734090a63dbc856dc9875"),
+    (("walks", "--d", "40", "--r", "1"), "json",
+     "36788db0105d5fb3e5a2e4a9dc1d2f548bcd7ad67a19fa49704cd2c7b1fec967"),
+    (("a3", "--limit", "100000"), "tsv",
+     "23c3612b88374eb3b2cd0a7c2ef16b106dcf9e4dd7d0a53cd890e92fa5d30dd5"),
 ])
 def test_golden_walks_digest(argv, fmt, digest):
     """sha256 of the full stdout: any way of computing the walks, or of
@@ -185,6 +214,60 @@ def _without_residuals(out, fmt):
     rows = [line.split("\t") for line in out.splitlines()]
     return "".join("\t".join(f[:4] + f[5:] if f[0] == "root" else f) + "\n"
                    for f in rows)
+
+
+def _whole_list_outputs():
+    """(argv, params, payload, tsv lines) of the commands that write in
+    blocks, formatted here from the library's whole lists."""
+    def fracs(row):
+        return [str(x) if x is sternseq.INFINITY
+                else f"{x.numerator}/{x.denominator}" for x in row]
+
+    for r in range(8):
+        for a, b in ((0, 0), (0, 1), (7, 3)):
+            values = [str(v) for v in sternseq.diatomic_row(r, a, b)]
+            yield (("row", r, a, b), {"r": r, "a": str(a), "b": str(b)},
+                   {"values": values}, values)
+        entries = fracs(sternseq.brocot_row(r))
+        yield ("brocot", r), {"r": r}, {"entries": entries}, entries
+    for N in range(71):
+        trace = [str(v) for v in sternseq.delta3_trace(N)]
+        yield (("delta3", "--N", N, "--trace"), {"N": str(N), "trace": True},
+               {"N": str(N), "delta": trace[-1], "trace": trace},
+               [f"{n}\t{v}" for n, v in enumerate(trace)])
+        members = [str(m) for m in sternseq.a3_enumerate(N)]
+        yield (("a3", "--limit", N), {"limit": str(N)},
+               {"members": members}, members)
+    for d in range(2, 8):
+        dot = sternseq.graph_export(d)
+        yield (("graph", "--d", d, "--dot"), {"d": d, "dot": True},
+               {"dot": dot}, dot.splitlines())
+        g = sternseq.moddist.graph(d)
+        edges = [[*g.vertices[pos], tag, *g.vertices[nxt]]
+                 for pos in range(len(g.vertices))
+                 for tag, nxt in (("L", g.left[pos]), ("R", g.right[pos]))]
+        yield (("graph", "--d", d), {"d": d, "dot": False},
+               {"d": d, "vertices": [list(v) for v in g.vertices],
+                "edges": edges},
+               ["\t".join(map(str, e)) for e in edges])
+        for r in (0, 1, 5):
+            M = [[str(e) for e in row] for row in sternseq.walk_counts(d, r)]
+            yield (("walks", "--d", d, "--r", r), {"d": d, "r": r},
+                   {"matrix": M}, ["\t".join(row) for row in M])
+
+
+def test_blocks_of_two_print_the_whole_lists(monkeypatch):
+    """With blocks of two entries every block boundary is exercised:
+    the output is still that of the whole lists, in both formats."""
+    monkeypatch.setattr(sternseq.cli, "_BLOCK", 2)
+    for argv, params, payload, lines in _whole_list_outputs():
+        argv = [str(x) for x in argv]
+        envelope = {"format_version": "1", "command": argv[0],
+                    "params": params, "result": payload}
+        expected = {"tsv": "".join(line + "\n" for line in lines),
+                    "json": json.dumps(envelope, sort_keys=True) + "\n"}
+        for fmt, text in expected.items():
+            assert invoke(*argv, "--format", fmt) == (0, text, ""), argv
 
 
 def test_delta3_trace_output():
@@ -340,13 +423,17 @@ PAST_A_CAP = [
     ("dist", "--d", "24", "--N", str(2 ** 16000 - 1)),
     ("minpoly", "--d", "200", "--max-matrix-order", "30000"),
     ("spectral", "--d", "200", "--max-matrix-order", "30000"),
+    # caps of commands that write in blocks, checked before the first one
+    ("row", "14", "9" * 19000, "1"),
+    ("graph", "--d", "100", "--dot", "--max-matrix-order", "10"),
 ]
 
 
 @pytest.mark.parametrize("argv", PAST_A_CAP)
 def test_exit_code_past_each_cap(argv):
-    code, out, err = invoke(*argv)
-    assert code == 3 and out == "" and "resource limit" in err
+    for fmt in ("tsv", "json"):
+        code, out, err = invoke(*argv, "--format", fmt)
+        assert code == 3 and out == "" and "resource limit" in err
 
 
 def test_caps_survive_optimize():

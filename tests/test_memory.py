@@ -25,24 +25,36 @@ before = peak()
 print(entries, peak() - before)
 """
 
-# name: (imports, build, bound in bytes per entry)
+
+def _cli(entries, *argv):
+    """A build that runs one command to /dev/null."""
+    return ("from sternseq import cli",
+            f"entries = {entries}\n"
+            "with open(os.devnull, 'w') as out:\n"
+            f"    assert cli.run({list(argv)!r}, stdout=out) == 0")
+
+
+# name: (imports, build, bound in bytes per entry); the commands run at
+# their costliest admitted inputs and write their output in blocks
 BUILDS = {
     # one pointer per entry plus the shared values: about 8.5 bytes
     "table": ("from sternseq import DEFAULT_TABLE_CAP, stern_table",
               "entries = DEFAULT_TABLE_CAP + 1\n"
               "table = stern_table(DEFAULT_TABLE_CAP)", 12),
-    # the trace, its strings shared, and its tsv lines: about 98 bytes
-    "delta3_trace": ("from sternseq import cli",
-                     "entries = 2 ** 20 + 1\n"
-                     "with open(os.devnull, 'w') as out:\n"
-                     "    assert cli.run(['delta3', '--N', str(2 ** 20),\n"
-                     "                    '--trace'], stdout=out) == 0", 120),
-    # the rows of M^1 mod 40 and their tsv strings: about 81 bytes
-    "walks": ("from sternseq import cli",
-              "entries = 1152 ** 2\n"
-              "with open(os.devnull, 'w') as out:\n"
-              "    assert cli.run(['walks', '--d', '40', '--r', '1'],\n"
-              "                   stdout=out) == 0", 100),
+    # the trace and, while it is made, the mod-3 table: about 18.6 bytes
+    "delta3_trace": (*_cli(2 ** 22 + 1, "delta3", "--N", str(2 ** 22),
+                           "--trace"), 24),
+    # the rows of M^1 mod 40, shared small ints: about 8.4 bytes
+    "walks": (*_cli(1152 ** 2, "walks", "--d", "40", "--r", "1"), 16),
+    # one block at a time: about 0.2 bytes, 1 MB in all
+    "row": (*_cli(2 ** 22 + 1, "row", "22", "1", "1"), 2),
+    "brocot": (*_cli(2 ** 22 + 1, "brocot", "22"), 2),
+    # the pair graph of 18,432 vertices, per DOT line: about 78 bytes
+    "graph_dot": (*_cli(3 * 18432, "graph", "--d", "168", "--dot",
+                        "--max-matrix-order", "32768"), 120),
+    # no table of the N terms: about 0.05 and 0.2 bytes
+    "sum": (*_cli(2 ** 22, "sum", "--N", str(2 ** 22)), 1),
+    "sum_exact": (*_cli(2 ** 20, "sum", "--N", str(2 ** 20), "--exact"), 1),
 }
 
 
