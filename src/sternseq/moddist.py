@@ -15,15 +15,15 @@ pull form, since L and R are permutations: x M adds at each vertex v
 the entries at its L- and R-predecessor.  The unit scalings
 (i, j) -> (ui, uj) commute with L and R, so the rows of any power or
 polynomial of M within one orbit of them are permutations of each
-other.  Walk counts step only the rows of M^r at one vertex per orbit,
-packed into one int per vertex, decode them by shift and mask, and
-gather the rest through cached index tables, one per unit.  The
-minimal polynomial, which sets the rate of convergence to the
+other.  So the rows e_v f(M) are stepped only at one vertex per
+orbit, by Horner with the pull step, packed in fields of one int per
+vertex: walk counts take f = z^r, decode the fields by shift and mask
+and gather the other rows through cached index tables, one per unit.
+The minimal polynomial, which sets the rate of convergence to the
 densities, comes from Berlekamp-Massey on a scalar sequence mod p,
 stopped early once its linear complexity settles, and is certified
-over Z on the same representatives, with the rows of f(M) packed like
-the walk counts; the dense `exactalg` matrices are the oracle for
-`verify` and tests.
+over Z by the same packed rows of f(M) vanishing; the dense `exactalg`
+matrices are the oracle for `verify` and tests.
 """
 
 import cmath
@@ -45,9 +45,9 @@ DEFAULT_MATRIX_CAP = 4096
 # no max_order admits more vertices; graph(600), 230,400 of them, took
 # 0.44 s and 50 MB (CPython 3.11, one core of a 2-vCPU VM)
 _VERTEX_CEILING = 1 << 18
-# bits of one packed vector of the minimal polynomial's certificate,
-# 4 MB; with 2^27 bits minimal_polynomial(43) peaked at 30 MB against
-# 24 MB, at no measured gain in time (CPython 3.11, 2-vCPU VM)
+# bits of one packed vector of _rep_rows, 4 MB; with 2^27 bits
+# minimal_polynomial(43) peaked at 30 MB against 24 MB, at no measured
+# gain in time (CPython 3.11, 2-vCPU VM)
 _PACK_BITS = 1 << 25
 # Berlekamp-Massey reads up to 2 N_d terms of N_d additions each; this
 # admits N_d <= 4096, every modulus DEFAULT_MATRIX_CAP admits (to d = 78)
@@ -229,31 +229,24 @@ def walk_counts(d: int, r: int,
     M^r (the dense `exactalg.mat_pow` and the all-rows twin in
     tests/oracles.py are their oracles).  The unit scalings commute with
     M, so row u v is row v permuted by w -> u^-1 w: only the I(d) rows
-    at the orbit representatives are stepped, one field of 8 (r // 8 + 1)
-    bits each in one int per vertex, by r pull steps x -> x M of N_d
-    big-integer additions.  Entries reach 2^r, so no carry crosses a
-    field.  The fields are decoded by shift and mask, and every row is
-    gathered from its representative's through the index table of its
-    unit, cached in _gathers(d).  r is bounded by the bit cap, and
-    N_d^2 (r + 1), the work of stepping every row, by the work cap."""
+    at the orbit representatives are stepped, packed by _rep_rows in
+    fields of r + 1 bits, by r pull steps x -> x M per group.  Entries
+    reach 2^r, so no carry crosses a field.  The fields are decoded by
+    shift and mask, and every row is gathered from its representative's
+    through the index table of its unit, cached in _orbits(d).  r is
+    bounded by the bit cap, and N_d^2 (r + 1), the work of stepping
+    every row, by the work cap."""
     _check_bits(r, "walk length")
     g = _capped_graph(d, max_order)
-    n = len(g.vertices)
-    _check_work(n ** 2 * (r + 1), r, "walk counts")
-    bits = 8 * (r // 8 + 1)  # per field
-    reps = _orbits(d)[0]
-    pred = _predecessors(d)
-    vec = [0] * n
-    for j, v in enumerate(reps):
-        vec[v] = 1 << bits * j
-    for _ in range(r):
-        vec = _step(pred, vec)
-    # field j of vec[w] is M^r[reps[j], w]
-    mask = (1 << bits) - 1
-    rep_rows = [[x >> s & mask for x in vec]
-                for s in range(0, bits * len(reps), bits)]
+    _check_work(len(g.vertices) ** 2 * (r + 1), r, "walk counts")
+    mask = (1 << r + 1) - 1
+    rows = []  # row j is M^r[reps[j]]
+    for size, vec in _rep_rows(d, [0] * r + [1], r + 1):
+        rows += [[x >> s & mask for x in vec]
+                 for s in range(0, (r + 1) * size, r + 1)]
+    _, home, gets = _orbits(d)
     # N_d >= 3, so every getter returns a tuple
-    return [list(get(rep_rows[j])) for j, get in _gathers(d)]
+    return [list(get(rows[j])) for (j, _), get in zip(home, gets)]
 
 
 def _step(pairs: tuple[tuple[int, int], ...], vec: list) -> list:
@@ -274,11 +267,14 @@ def _predecessors(d: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=64)
-def _orbits(d: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    # (reps, home): reps the least vertex of each orbit of the unit
-    # scalings (i, j) -> (ui, uj), increasing, and home[v] = (j, u) with
-    # v = u reps[j]; the action is free, so this costs N_d lookups.
-    # Cached apart from graph(d), as _predecessors is
+def _orbits(d: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...],
+                             tuple[itemgetter, ...]]:
+    # (reps, home, gets): reps the least vertex of each orbit of the unit
+    # scalings (i, j) -> (ui, uj), increasing; home[v] = (j, u) with
+    # v = u reps[j]; gets[v] picks the entries at u^-1 w for w = 0, 1,
+    # ..., so it maps row reps[j] of any polynomial in M to row v, one
+    # getter per unit.  The action is free, so reps and home cost N_d
+    # lookups.  Cached apart from graph(d), as _predecessors is
     g = graph(d)
     units = [u for u in range(1, d) if math.gcd(u, d) == 1]
     reps, home = [], [None] * len(g.vertices)
@@ -287,20 +283,32 @@ def _orbits(d: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
             for u in units:
                 home[g.index[u * i % d, u * j % d]] = (len(reps), u)
             reps.append(v)
-    return tuple(reps), tuple(home)
+    tables = {w: itemgetter(*[g.index[w * i % d, w * j % d]
+                              for i, j in g.vertices]) for w in units}
+    return (tuple(reps), tuple(home),
+            tuple(tables[pow(u, -1, d)] for _, u in home))
 
 
-@lru_cache(maxsize=64)
-def _gathers(d: int) -> tuple[tuple[int, itemgetter], ...]:
-    # (j, get) for every vertex v = u reps[j], get picking the entries at
-    # u^-1 w for w = 0, 1, ...: it maps row reps[j] of any power of M to
-    # row v.  One getter per unit, cached apart from graph(d) like _orbits
-    g, home = graph(d), _orbits(d)[1]
-    inverses = {u: pow(u, -1, d) for _, u in home}
-    gets = {u: itemgetter(*[g.index[v * i % d, v * j % d]
-                            for i, j in g.vertices])
-            for u, v in inverses.items()}
-    return tuple((j, gets[u]) for j, u in home)
+def _rep_rows(d: int, f: IntPolynomial, width: int):
+    # (size, vec) for each group of at most _PACK_BITS / (N_d width)
+    # orbit representatives, in order: field j of vec[w], width bits
+    # wide and signed, holds e_v f(M)[w] for the j-th representative v
+    # of the group, if no entry overflows it.  Horner from the leading
+    # coefficient takes deg f steps per group
+    reps = _orbits(d)[0]
+    pred = _predecessors(d)
+    size = max(1, _PACK_BITS // (len(pred) * width))
+    for start in range(0, len(reps), size):
+        group = list(enumerate(reps[start:start + size]))
+        vec = [0] * len(pred)
+        for j, v in group:
+            vec[v] = f[-1] << width * j
+        for c in reversed(f[:-1]):
+            vec = _step(pred, vec)
+            if c:
+                for j, v in group:
+                    vec[v] += c << width * j
+        yield len(group), vec
 
 
 def _pair_census(N: int, d: int,
@@ -434,37 +442,23 @@ def minimal_polynomial(d: int,
     if steps > _BM_STEP_CEILING:
         raise ResourceLimitError(f"Berlekamp-Massey mod {d} takes {steps} "
                                  f"steps, over the ceiling {_BM_STEP_CEILING}")
-    reps = _orbits(d)[0]
     for rung, p in enumerate(exactalg._PRIME_LADDER):
         f = _berlekamp_massey(g, p, not rung)
-        if f and _rows_vanish(g, reps, f):
+        if f and _rows_vanish(d, f):
             return f
     raise ResourceLimitError(
         f"minimal polynomial mod {d}: no prime of the ladder certified it")
 
 
-def _rows_vanish(g: PairGraph, reps: tuple[int, ...],
-                 f: IntPolynomial) -> bool:
-    # whether e_v f(M) = 0 over Z for every v in reps, by Horner, one
-    # sparse step per coefficient, on the rows of a group of reps
-    # packed into one int per vertex, one signed field of W bits per
-    # rep.  An entry of a row is at most sum |c_k| 2^k < 2^(W - 2) in
-    # size, and a sum of such fields times 2^(W j) is 0 only when every
-    # field is, so the packed rows are tested without decoding.  A group
-    # holds at most _PACK_BITS / (N_d W) reps, which bounds its vector.
-    pred = _predecessors(g.d)
+def _rows_vanish(d: int, f: IntPolynomial) -> bool:
+    # whether e_v f(M) = 0 over Z at every orbit representative v, on
+    # the packed rows of _rep_rows, one signed field of W bits per
+    # representative.  An entry of a row is at most sum |c_k| 2^k <
+    # 2^(W - 2) in size, and a sum of such fields times 2^(W j) is 0
+    # only when every field is, so the packed rows are tested without
+    # decoding
     width = sum(abs(c) << k for k, c in enumerate(f)).bit_length() + 2
-    size = max(1, _PACK_BITS // (len(g.vertices) * width))
-    for start in range(0, len(reps), size):
-        group = list(enumerate(reps[start:start + size]))
-        vec = [0] * len(g.vertices)
-        for c in reversed(f):
-            vec = _step(pred, vec)
-            for j, v in group:
-                vec[v] += c << width * j
-        if any(vec):
-            return False
-    return True
+    return not any(any(vec) for _, vec in _rep_rows(d, f, width))
 
 
 def _berlekamp_massey(g: PairGraph, p: int, bounded: bool):

@@ -29,7 +29,7 @@ from sternseq.cli import run as cli_run
 from sternseq.exactalg import (mat_is_zero, mat_mul, mat_pow, poly_derivative,
                                poly_divmod, poly_eval_matrix, poly_gcd,
                                poly_trim, squarefree_factors)
-from sternseq.moddist import _gathers, _orbits, _predecessors
+from sternseq.moddist import _orbits, _predecessors
 
 ADJ3 = [
     [1, 0, 0, 1, 0, 0, 0, 0],
@@ -167,7 +167,7 @@ def test_walk_counts_identity_and_composition():
 @example(2, 16)
 def test_walk_counts_match_dense_power(d, r):
     """Packed rows against the dense oracle, across field widths of
-    one to six bytes; r = 7, 8, 15 and 16 sit on the width steps."""
+    r + 1 = 1 to 41 bits."""
     assert walk_counts(d, r) == mat_pow(adjacency(d), r)
 
 
@@ -178,26 +178,38 @@ def _admitted_walks(d):
     return st.tuples(st.just(d), st.integers(0, min(64, cap)))
 
 
+_PACKINGS = [1, 1 << 10, 1 << 14, sternseq.moddist._PACK_BITS]
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 40).flatmap(_admitted_walks))
-@example((2, 7))
-@example((2, 16))
-@example((9, 8))
-@example((9, 15))
-@example((12, 16))
-@example((12, 7))
-@example((30, 8))
-@example((9, 63))
-@example((9, 64))
-@example((30, 5))
-@example((40, 1))
-def test_walk_counts_match_all_rows_twin(case):
+@given(st.integers(2, 40).flatmap(_admitted_walks),
+       st.sampled_from(_PACKINGS))
+@example((2, 7), _PACKINGS[-1])
+@example((2, 16), 1)
+@example((9, 8), 1 << 10)
+@example((9, 15), 1 << 14)
+@example((12, 16), 1 << 14)
+@example((12, 7), 1)
+@example((30, 8), 1 << 14)
+@example((9, 63), 1 << 10)
+@example((9, 64), _PACKINGS[-1])
+@example((30, 5), 1)
+@example((40, 1), _PACKINGS[-1])
+@example((9, 0), 1)
+@example((40, 0), _PACKINGS[-1])
+@example((12, 1), 1 << 10)
+@example((40, 1), 1)
+def test_walk_counts_match_all_rows_twin(case, bits):
     """The rows stepped at the orbit representatives and gathered onto
-    the rest equal the twin that steps every row, at phi(d) = 1 (d = 2)
-    and across field widths and masks: r = 7, 8, 15, 16, 63 and 64 sit
-    on the steps."""
+    the rest equal the twin that steps every row, at phi(d) = 1 (d = 2),
+    at r = 0 (one-bit fields) and r = 1, and decoded across group
+    boundaries: the bit bounds cut the representatives into groups of
+    every size down to one."""
     d, r = case
-    assert walk_counts(d, r) == walk_rows(graph(d), r)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sternseq.moddist, "_PACK_BITS", bits)
+        rows = walk_counts(d, r)
+    assert rows == walk_rows(graph(d), r)
 
 
 def test_steps_are_permutations():
@@ -387,10 +399,10 @@ def test_minimal_polynomial_past_the_dense_range(mu):
 def test_unit_scalings_act_freely():
     """(i, j) -> (ui, uj) permutes the feasible pairs in index_I(d)
     orbits of phi(d) vertices each and commutes with L and R, at every
-    modulus the matrix cap admits; _orbits gives the certificate of
-    minimal_polynomial the same representatives as _orbit_reps, and
-    walk_counts a home (j, u) with v = u reps[j] for every vertex v and,
-    in _gathers, that j with the index table w -> u^-1 w."""
+    modulus the matrix cap admits; _orbits gives the same
+    representatives as _orbit_reps, a home (j, u) with v = u reps[j]
+    for every vertex v and, for walk_counts, one getter per unit: the
+    index table w -> u^-1 w."""
     for d in [*range(2, 67), 68, 70, 72, 78]:
         units = [u for u in range(1, d) if math.gcd(u, d) == 1]
         orbits = {frozenset((u * i % d, u * j % d) for u in units)
@@ -398,16 +410,16 @@ def test_unit_scalings_act_freely():
         assert len(orbits) == index_I(d)
         assert all(len(orbit) == len(units) for orbit in orbits)
         g = graph(d)
-        reps, home = _orbits(d)
+        reps, home, gets = _orbits(d)
         assert list(reps) == _orbit_reps(g)
         scaled = {u: [g.index[u * i % d, u * j % d] for i, j in g.vertices]
                   for u in units}
         assert all(scaled[u][reps[j]] == v for v, (j, u) in enumerate(home))
-        gathers = _gathers(d)
-        assert len(gathers) == len(home)
+        assert len(gets) == len(home)
         units_of = {}  # each getter serves one unit
-        for (j, get), (k, u) in zip(gathers, home):
-            assert j == k and units_of.setdefault(get, u) == u
+        for get, (_, u) in zip(gets, home):
+            assert units_of.setdefault(get, u) == u
+        assert len(units_of) == len(units)
         assert all(list(get(range(len(home)))) == scaled[pow(u, -1, d)]
                    for get, u in units_of.items())
         for u, perm in scaled.items():
@@ -464,7 +476,7 @@ def test_packed_certificate_matches_the_row_oracle(mu, data, d, bits):
     reps = _orbit_reps(g)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sternseq.moddist, "_PACK_BITS", bits)
-        verdict = sternseq.moddist._rows_vanish(g, reps, f)
+        verdict = sternseq.moddist._rows_vanish(d, f)
     assert verdict == all(not any(_poly_row(g, v, f)) for v in reps)
     if kind != "random":
         assert verdict == (kind in ("mu", "multiple"))
@@ -559,7 +571,8 @@ def test_gcd_climbs_the_prime_ladder(monkeypatch):
 def _spy_berlekamp_massey(monkeypatch):
     """Patch moddist so that each Berlekamp-Massey call appends (p,
     bounded, its result, the terms it read) to the returned list; a term
-    is one sparse step."""
+    is one sparse step.  Also returns the one-item list that counts
+    every sparse step."""
     runs = []
     steps = [0]
     bm, step = sternseq.moddist._berlekamp_massey, sternseq.moddist._step
@@ -576,7 +589,7 @@ def _spy_berlekamp_massey(monkeypatch):
 
     monkeypatch.setattr(sternseq.moddist, "_step", counting_step)
     monkeypatch.setattr(sternseq.moddist, "_berlekamp_massey", spy)
-    return runs
+    return runs, steps
 
 
 def test_a_later_rung_fails_its_certificate(mu, monkeypatch):
@@ -589,7 +602,7 @@ def test_a_later_rung_fails_its_certificate(mu, monkeypatch):
     (z - 600)^2 (z + 1) skips the first 1009, lifts z + 409 mod the
     second, and gets z - 600 from 2^89 - 1."""
     ladder = sternseq.exactalg._PRIME_LADDER
-    runs = _spy_berlekamp_massey(monkeypatch)
+    runs, _ = _spy_berlekamp_massey(monkeypatch)
     monkeypatch.setattr(sternseq.exactalg, "_PRIME_LADDER",
                         (ladder[0], (1 << 17) - 1) + ladder[1:])
     assert minimal_polynomial(13) == mu[13]
@@ -608,18 +621,28 @@ def test_a_later_rung_fails_its_certificate(mu, monkeypatch):
 def test_first_rung_completes_through_d12(mu, monkeypatch):
     """With the ladder cut to its first rung, Berlekamp-Massey runs once
     and reads 2L + 2 terms or, at d = 2, all 2 N_d = 6, and the packed
-    certificate runs once on the I(d) orbit representatives and passes,
-    for every d <= 12, whose mu_M has degree at most 55; at d = 13
-    (degree 60) Berlekamp-Massey is abandoned before any certificate."""
-    runs = _spy_berlekamp_massey(monkeypatch)
+    certificate runs once on the I(d) orbit representatives, in one
+    group of deg mu_M sparse steps, and passes, for every d <= 12, whose
+    mu_M has degree at most 55; at d = 13 (degree 60) Berlekamp-Massey
+    is abandoned before any certificate."""
+    runs, steps = _spy_berlekamp_massey(monkeypatch)
     seen = []
-    rows_vanish = sternseq.moddist._rows_vanish
+    rows_vanish, rep_rows = (sternseq.moddist._rows_vanish,
+                             sternseq.moddist._rep_rows)
 
-    def spy(g, reps, f):
-        seen.append(len(set(reps)))
-        return rows_vanish(g, reps, f)
+    def spy(d, f):
+        before = steps[0]
+        verdict = rows_vanish(d, f)
+        seen.append(steps[0] - before)
+        return verdict
+
+    def spy_rows(d, f, width):
+        for size, vec in rep_rows(d, f, width):
+            seen.append(size)
+            yield size, vec
 
     monkeypatch.setattr(sternseq.moddist, "_rows_vanish", spy)
+    monkeypatch.setattr(sternseq.moddist, "_rep_rows", spy_rows)
     monkeypatch.setattr(sternseq.exactalg, "_PRIME_LADDER",
                         sternseq.exactalg._PRIME_LADDER[:1])
     p = sternseq.exactalg._PRIME_LADDER[0]
@@ -627,7 +650,7 @@ def test_first_rung_completes_through_d12(mu, monkeypatch):
         seen.clear()
         runs.clear()
         assert minimal_polynomial(d) == mu[d]
-        assert seen == [index_I(d)]
+        assert seen == [index_I(d), len(mu[d]) - 1]
         terms = min(2 * len(mu[d]), 2 * pair_counts(d)[0])
         assert runs == [(p, True, mu[d], terms)]
     seen.clear()
