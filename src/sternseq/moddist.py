@@ -13,17 +13,17 @@ down the bits of N, so every count T(N; d, i) is a projection of that
 census.  The adjacency matrix M is applied only as one sparse step in
 pull form, since L and R are permutations: x M adds at each vertex v
 the entries at its L- and R-predecessor.  The unit scalings
-(i, j) -> (ui, uj) commute with L and R, so the rows of any power or
-polynomial of M within one orbit of them are permutations of each
-other.  So the rows e_v f(M) are stepped only at one vertex per
-orbit, by Horner with the pull step, packed in fields of one int per
-vertex: walk counts take f = z^r, decode the fields by shift and mask
-and gather the other rows through cached index tables, one per unit.
-The minimal polynomial, which sets the rate of convergence to the
-densities, comes from Berlekamp-Massey on a scalar sequence mod p,
-stopped early once its linear complexity settles, and is certified
-over Z by the same packed rows of f(M) vanishing; the dense `exactalg`
-matrices are the oracle for `verify` and tests.
+(i, j) -> (ui, uj) commute with L and R, so the rows of any
+polynomial f(M) within one of their orbits are permutations of each
+other, and so are its columns.  So rows e_v f(M) are stepped at one
+vertex per orbit, by Horner with the pull step, packed in fields of
+one int per vertex: walk counts take f = z^r, decode the fields by
+shift and mask and gather the other rows through cached index tables,
+one per unit.  The minimal polynomial, which sets the rate of
+convergence, comes from Berlekamp-Massey on the terms x M^k y^T mod
+p, read at the orbit representatives, is certified over Z by the
+packed rows of f(M) vanishing, and has its roots certified by
+inclusion disks; the dense `exactalg` matrices are the oracles.
 """
 
 import cmath
@@ -32,7 +32,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .core import (DEFAULT_TABLE_CAP, ResourceLimitError, _check_bits,
@@ -230,20 +230,22 @@ def walk_counts(d: int, r: int,
     tests/oracles.py are their oracles).  The unit scalings commute with
     M, so row u v is row v permuted by w -> u^-1 w: only the I(d) rows
     at the orbit representatives are stepped, packed by _rep_rows in
-    fields of r + 1 bits, by r pull steps x -> x M per group.  Entries
-    reach 2^r, so no carry crosses a field.  The fields are decoded by
-    shift and mask, and every row is gathered from its representative's
-    through the index table of its unit, cached in _orbits(d).  r is
-    bounded by the bit cap, and N_d^2 (r + 1), the work of stepping
-    every row, by the work cap."""
+    fields of max(r, 1) bits, by r pull steps x -> x M per group.  Walks
+    that differ only in their first step end apart (L v != R v), so no
+    entry exceeds 2^(r - 1) and no carry crosses a field.  The fields
+    are decoded by shift and mask, and every row is gathered from its
+    representative's through the index table of its unit, cached in
+    _orbits(d).  r is bounded by the bit cap, and N_d^2 (r + 1), the
+    work of stepping every row, by the work cap."""
     _check_bits(r, "walk length")
     g = _capped_graph(d, max_order)
     _check_work(len(g.vertices) ** 2 * (r + 1), r, "walk counts")
-    mask = (1 << r + 1) - 1
+    width = max(r, 1)
+    mask = (1 << width) - 1
     rows = []  # row j is M^r[reps[j]]
-    for size, vec in _rep_rows(d, [0] * r + [1], r + 1):
+    for size, vec in _rep_rows(d, [0] * r + [1], width):
         rows += [[x >> s & mask for x in vec]
-                 for s in range(0, (r + 1) * size, r + 1)]
+                 for s in range(0, width * size, width)]
     _, home, gets = _orbits(d)
     # N_d >= 3, so every getter returns a tuple
     return [list(get(rows[j])) for (j, _), get in zip(home, gets)]
@@ -421,21 +423,24 @@ def minimal_polynomial(d: int,
                        max_order: int = DEFAULT_MATRIX_CAP) -> IntPolynomial:
     """Monic minimal polynomial mu_M of the adjacency matrix, ascending.
 
-    Berlekamp-Massey (Massey 1969) on the terms x M^k y^T mod a prime
-    p, x and y seeded by d (Wiedemann 1986), gives a monic f with
-    deg f <= deg mu_M in symmetric residues, once the discrepancy has
-    been zero twice in a row past 2L + 2 terms (Kaltofen and Lee 2003)
-    or after all 2 N_d terms.  The unit scalings (i, j) -> (ui, uj)
-    permute the vertices and commute with M, so the rows of f(M) within
-    one orbit are permutations of each other, and e_v f(M) = 0 over Z
-    for one vertex v per orbit proves mu_M | f, so f = mu_M.  Each prime
-    of the `exactalg` ladder gives one f until the proof holds, so a
-    premature early stop costs one rung.  The first prime is abandoned
-    once the running linear complexity L has 2 * 3^L >= p, as 3^L
-    bounds the coefficients of a monic degree-L divisor of mu_M (every
-    root has |z| <= 2); the last exceeds every bound under the matrix
-    cap.  ResourceLimitError when no prime gives a proof, and before
-    any term when the 2 N_d^2 steps of a full run exceed _BM_STEP_CEILING.
+    Berlekamp-Massey (Massey 1969) on the terms x M^k y^T mod a prime p
+    (Wiedemann 1986), x seeded by d and y at the orbit representatives,
+    gives a monic f with deg f <= deg mu(M mod p) <= deg mu_M in
+    symmetric residues, once the discrepancy has been zero twice in a
+    row past 2L + 2 terms (Kaltofen and Lee 2003) or after all 2 N_d
+    terms.  The unit scalings (i, j) -> (ui, uj) commute with M, so the
+    rows and columns of f(M) within one orbit are permutations of each
+    other: e_v f(M) = 0 over Z at one v per orbit proves mu_M | f, so
+    f = mu_M, and a random y misses mu_M, the lcm of the minimal
+    polynomials of the columns at the representatives, with probability
+    at most deg mu_M / p.  Each prime of the `exactalg` ladder gives one
+    f until the proof holds, so a premature early stop costs one rung.
+    The first prime is abandoned once the linear complexity L has
+    2 * 3^L >= p, as 3^L bounds the coefficients of a monic degree-L
+    divisor of mu_M (every root has |z| <= 2); the last exceeds every
+    bound under the matrix cap.  ResourceLimitError when no prime gives
+    a proof, and before any term when a full run's 2 N_d^2 steps exceed
+    _BM_STEP_CEILING.
     """
     g = _capped_graph(d, max_order)
     steps = 2 * len(g.vertices) ** 2
@@ -462,21 +467,24 @@ def _rows_vanish(d: int, f: IntPolynomial) -> bool:
 
 
 def _berlekamp_massey(g: PairGraph, p: int, bounded: bool):
-    # the monic generator of the terms x M^k y^T mod p, x and y seeded
-    # by d, lifted at the early stop or after all 2 N_d terms; None when
-    # bounded and the linear complexity L reaches 2 * 3^L >= p
+    # the monic generator of the terms x M^k y^T mod p, lifted at the
+    # early stop or after all 2 N_d terms, x reduced every 32 steps, so
+    # below p 2^32; None when bounded and L reaches 2 * 3^L >= p
     pred = _predecessors(g.d)
+    at_reps = itemgetter(*_orbits(g.d)[0])  # I(d) >= 3: returns a tuple
     rng = random.Random(g.d)
     x = [rng.randrange(p) for _ in g.vertices]
-    y = [rng.randrange(p) for _ in g.vertices]
+    y = [rng.randrange(p) for _ in at_reps(x)]
     seq, conn, prev = [], [1], [1]  # terms; connection polynomials
     # linear complexity; prev's lag; the inverse of prev's discrepancy;
     # the zero discrepancies since the last nonzero one
     length, shift, inv, zeros = 0, 1, 1, 0
     for k in range(2 * len(g.vertices)):
-        seq.append(sum(a * b for a, b in zip(x, y)) % p)
-        x = [a % p for a in _step(pred, x)]
-        delta = sum(c * s for c, s in zip(conn, reversed(seq))) % p
+        seq.append(sum(map(mul, at_reps(x), y)) % p)
+        x = _step(pred, x)
+        if k % 32 == 31:
+            x = [a % p for a in x]
+        delta = sum(map(mul, conn, reversed(seq))) % p
         zeros += 1
         if delta:
             zeros = 0
@@ -582,63 +590,26 @@ def _units(x: float, S: int) -> int:
     return (num << S) // den
 
 
-def _polish(f: IntPolynomial, z: list, S: int):
-    # the sweeps of _aberth on Gaussian integers z in units of 2^-S, in
-    # place: f and f' from _fixed_horner, the sum over the other points
-    # in floats, whose error enters a step only times |f / f'|^2, so
-    # the sweeps still converge at least quadratically.  A point also
-    # stops after a step of at most one unit in each part, since the
-    # grid may hold no point where |f| is within its error bound
-    fp = poly_derivative(f)
-    one = 1 << S
-    near = [complex(a / one, b / one) for a, b in z]
-    moving = range(len(z))
-    for _ in range(_SWEEPS):
-        still = []
-        for i in moving:
-            a, b = z[i]
-            re, im, err = _fixed_horner(f, a, b, S)
-            diffs = [near[i] - w for j, w in enumerate(near) if j != i]
-            if re * re + im * im <= err * err or not all(diffs):
-                continue
-            s = sum(1 / w for w in diffs)
-            sr, si = _units(s.real, S), _units(s.imag, S)
-            dre, dim, _ = _fixed_horner(fp, a, b, S)
-            # z - f / (f' - f s), every value in units of 2^-S
-            xr = dre - ((re * sr - im * si) >> S)
-            xi = dim - ((re * si + im * sr) >> S)
-            q = xr * xr + xi * xi
-            if q:
-                da = ((re * xr + im * xi) << S) // q
-                db = ((im * xr - re * xi) << S) // q
-                z[i] = a - da, b - db
-                near[i] = complex((a - da) / one, (b - db) / one)
-                if abs(da) > 1 or abs(db) > 1:
-                    still.append(i)
-        if not still:
-            return
-        moving = still
-
-
 def _certified_roots(f: IntPolynomial, digits: int) -> tuple[int, list]:
     """(S, [(a, b, r), ...]) for a squarefree integer f of degree n >= 1:
     disks with centre (a + bi) / 2^S and radius r / 2^S, one per root.
 
     Float Aberth seeds from a circle are polished by the same sweeps on
-    Gaussian integers in units of 2^-S, with S sized from the seeds.
-    Since |f'/f(z)| = |sum_k 1 / (z - z_k)| <= n / min_k |z - z_k|, the
-    disk D(z_i, n |f(z_i) / f'(z_i)|) holds a root, and n disjoint such
-    disks hold one root each.  r is an integer upper bound on that
-    radius times 2^S, from |f(z_i)| and |f'(z_i)| with their error
-    bounds; NonConvergenceError when the bound on |f'(z_i)| is not
-    positive.  The disks must have radius below 10^-digits and stay
-    apart at three times their radii, else NonConvergenceError; every
-    test is in integers.  The roots are closed under conjugation, and
-    under z -> -z when f(-z) = +-f(z); a disk that meets the axis of
-    such a mirror holds a root whose image lies within three radii of
-    the centre, so in no other disk, so in the same one: that root is
-    on the axis, and its centre gets an exactly zero imaginary or real
-    part.
+    Gaussian integers in units of 2^-S, with S sized from the seeds;
+    each point stops once f and f' there give it a radius r below
+    2^S 10^-digits, or when it meets another.  Since
+    |f'/f(z)| = |sum_k 1 / (z - z_k)| <= n / min_k |z - z_k|, the disk
+    D(z_i, n |f(z_i) / f'(z_i)|) holds a root, and n disjoint such disks
+    hold one root each.  r is an integer upper bound on that radius
+    times 2^S, from |f(z_i)| and |f'(z_i)| with their error bounds;
+    NonConvergenceError when the bound on |f'(z_i)| is not positive.
+    The disks must have radius below 10^-digits and stay apart at three
+    times their radii, else NonConvergenceError; every test is in
+    integers.  The roots are closed under conjugation, and under z -> -z
+    when f(-z) = +-f(z); a disk that meets the axis of such a mirror
+    holds a root whose image lies within three radii of the centre, so
+    in no other disk, so in the same one: that root is on the axis, and
+    its centre gets an exact zero imaginary or real part.
     """
     n = len(f) - 1
     z = [_SEED_RADIUS * cmath.exp(2j * math.pi * (k + 0.25) / n)
@@ -657,25 +628,52 @@ def _certified_roots(f: IntPolynomial, digits: int) -> tuple[int, list]:
         raise NonConvergenceError(
             f"root seeds of a degree-{n} factor diverged")
     S = math.ceil(digits * math.log2(10) + math.log2(n * kappa)) + 4
+    one = 1 << S
     z = [(_units(w.real, S), _units(w.imag, S)) for w in z]
-    _polish(f, z, S)
+    near = [complex(a / one, b / one) for a, b in z]
     fp = poly_derivative(f)
-    radii = []
-    for a, b in z:
-        re, im, err = _fixed_horner(f, a, b, S)
-        dre, dim, derr = _fixed_horner(fp, a, b, S)
-        # |f| and |f'| in units of 2^-S, rounded up and down
-        num = n * (math.isqrt(re * re + im * im) + 1 + err) << S
-        den = math.isqrt(dre * dre + dim * dim) - derr
-        if den <= 0:
-            raise NonConvergenceError(
-                f"root refinement of a degree-{n} factor ended where f' "
-                "may vanish")
-        radii.append(-(-num // den) + 1)
+    # r is None after a step until the next visit, 0 while f' may vanish
+    radii, moving = [None] * n, range(n)
+    for _ in range(_SWEEPS):
+        still = []
+        for i in moving:
+            a, b = z[i]
+            re, im, err = _fixed_horner(f, a, b, S)
+            dre, dim, derr = _fixed_horner(fp, a, b, S)
+            # |f| and |f'| in units of 2^-S, rounded up and down
+            num = n * (math.isqrt(re * re + im * im) + 1 + err) << S
+            den = math.isqrt(dre * dre + dim * dim) - derr
+            radii[i] = r = -(-num // den) + 1 if den > 0 else 0
+            if 0 < r * 10 ** digits < one:
+                continue
+            diffs = [near[i] - w for j, w in enumerate(near) if j != i]
+            if not all(diffs):
+                continue
+            # the sum over the others, in floats: its error enters a step
+            # only times |f / f'|^2, so the sweeps stay at least quadratic
+            s = sum(1 / w for w in diffs)
+            sr, si = _units(s.real, S), _units(s.imag, S)
+            # z - f / (f' - f s), every value in units of 2^-S
+            xr = dre - ((re * sr - im * si) >> S)
+            xi = dim - ((re * si + im * sr) >> S)
+            q = xr * xr + xi * xi
+            if q:
+                da = ((re * xr + im * xi) << S) // q
+                db = ((im * xr - re * xi) << S) // q
+                z[i] = a - da, b - db
+                near[i] = complex((a - da) / one, (b - db) / one)
+                radii[i] = r and None
+                still.append(i)
+        if not still:
+            break
+        moving = still
+    if 0 in radii:
+        raise NonConvergenceError(f"root refinement of a degree-{n} factor "
+                                  "ended where f' may vanish")
     mirrored = not any(f[n - 1::-2])  # f(-z) = +-f(z)
     out = []
     for i, ((a, b), r) in enumerate(zip(z, radii)):
-        if not (r * 10 ** digits < 1 << S and all(
+        if not (r and r * 10 ** digits < 1 << S and all(
                 (a - c) ** 2 + (b - d) ** 2 > 9 * (r + radii[j]) ** 2
                 for j, (c, d) in enumerate(z[:i]))):
             raise NonConvergenceError(
@@ -732,12 +730,12 @@ def spectral(d: int, max_order: int = DEFAULT_MATRIX_CAP) -> SpectralReport:
     zero_mult = next(k for k, c in enumerate(q) if c)
     rest = q[zero_mult:]
     roots = [RootValue(complex(2, 0), 1, 0.0, True)]
-    # (|z| rounded down, radius plus that rounding, multiplicity) of
-    # every root but 2
+    # (|z| rounded down, radius plus that rounding, in units of 2^-S;
+    # S; multiplicity) of every root but 2
     moduli = []
     if zero_mult:
         roots.append(RootValue(complex(0, 0), zero_mult, 0.0, True))
-        moduli.append((0, 0, zero_mult))
+        moduli.append((0, 0, 0, zero_mult))
     deg = len(f) - 1
     for factor, mult in squarefree_factors(rest):
         n = len(factor) - 1
@@ -753,13 +751,15 @@ def spectral(d: int, max_order: int = DEFAULT_MATRIX_CAP) -> SpectralReport:
                 # sum |z|^k with |z| < 2, below 2^(1 - S)
                 re, im, err = _fixed_horner(f, a << deg, b << deg, S + deg)
                 res = (math.isqrt(re * re + im * im) + 1 + err) / (one << deg)
-                moduli.append((Fraction(math.isqrt(a * a + b * b), one),
-                               Fraction(r + 1, one), mult))
+                moduli.append((math.isqrt(a * a + b * b), r + 1, S, mult))
                 roots.append(RootValue(complex(a / one, b / one), mult, res,
                                        False))
     roots.sort(key=lambda rv: (rv.value.real, rv.value.imag))
+    S = max((s for _, _, s, _ in moduli), default=0)
+    moduli = [(m << S - s, r << S - s, k) for m, r, s, k in moduli]
     top, top_r, _ = max(moduli, default=(0, 0, 1))
     mult = max((k for m, r, k in moduli if m + r >= top - top_r), default=1)
+    top = Fraction(top, 1 << S)
     tau = 0.0
     if top > 1:
         # round log2 at half the working digits before the one

@@ -167,7 +167,7 @@ def test_walk_counts_identity_and_composition():
 @example(2, 16)
 def test_walk_counts_match_dense_power(d, r):
     """Packed rows against the dense oracle, across field widths of
-    r + 1 = 1 to 41 bits."""
+    max(r, 1) = 1 to 40 bits."""
     assert walk_counts(d, r) == mat_pow(adjacency(d), r)
 
 
@@ -199,12 +199,19 @@ _PACKINGS = [1, 1 << 10, 1 << 14, sternseq.moddist._PACK_BITS]
 @example((40, 0), _PACKINGS[-1])
 @example((12, 1), 1 << 10)
 @example((40, 1), 1)
+@example((2, 0), 1)
+@example((2, 1), 1 << 10)
+@example((7, 0), 1 << 14)
+@example((7, 1), 1)
+@example((30, 1), 1 << 14)
+@example((30, 2), 1)
 def test_walk_counts_match_all_rows_twin(case, bits):
     """The rows stepped at the orbit representatives and gathered onto
     the rest equal the twin that steps every row, at phi(d) = 1 (d = 2),
-    at r = 0 (one-bit fields) and r = 1, and decoded across group
-    boundaries: the bit bounds cut the representatives into groups of
-    every size down to one."""
+    in the one-bit fields of r = 0 and r = 1, where an entry of M^1 is
+    at most 2^(r - 1) = 1, and decoded across group boundaries: the bit
+    bounds cut the representatives into groups of every size down to
+    one."""
     d, r = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sternseq.moddist, "_PACK_BITS", bits)
@@ -684,6 +691,39 @@ def test_no_certifying_prime_raises_resource_limit(ladder, monkeypatch):
         minimal_polynomial(8)
 
 
+def _bm_run(d, p, step):
+    # (generator, sparse steps) of one unbounded Berlekamp-Massey run
+    # mod p, with moddist._step replaced by step
+    calls = [0]
+
+    def counted(pairs, vec):
+        calls[0] += 1
+        return step(pairs, vec)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sternseq.moddist, "_step", counted)
+        f = sternseq.moddist._berlekamp_massey(graph(d), p, False)
+    return f, calls[0]
+
+
+@pytest.mark.parametrize("p", [(1 << 13) - 1, (1 << 17) - 1,
+                               (1 << 89) - 1, (1 << 521) - 1])
+def test_berlekamp_massey_matches_its_twin_reduced_every_step(p):
+    """x reduced mod p once every 32 steps reads the same terms as a
+    twin whose steps reduce mod p every time: for d = 2..13 both give
+    the same generator after the same number of sparse steps, across
+    several reduction boundaries (more than 96 steps at the largest)."""
+    step = sternseq.moddist._step
+
+    def reduced(pairs, vec):
+        return [a % p for a in step(pairs, vec)]
+
+    runs = [(_bm_run(d, p, step), _bm_run(d, p, reduced))
+            for d in range(2, 14)]
+    assert all(fast == twin for fast, twin in runs)
+    assert max(steps for (_, steps), _ in runs) > 96
+
+
 def test_berlekamp_massey_work_is_bounded(monkeypatch):
     """The 2 N_d terms of N_d steps each that Berlekamp-Massey may read
     are bounded before the first term: mod 200 (28,800 vertices) under a
@@ -870,17 +910,66 @@ def test_certified_disks_hold_the_oracle_roots(d):
                 assert len(hits) == 1, (d, root)
 
 
+def test_polish_stops_at_its_certified_centres(mu, monkeypatch):
+    """No centre is evaluated again after the polish: over every +-
+    part of mu_d for d = 2..12, _certified_roots makes at most 700
+    _fixed_horner calls (a second pass over the final centres made 987
+    in all), and each disk's centre, up to its axis snapping, is the
+    argument of the last f and f' calls there, one after the other,
+    whose values give exactly its radius."""
+    horner = sternseq.moddist._fixed_horner
+    calls = []
+
+    def spy(g, a, b, S):
+        out = horner(g, a, b, S)
+        calls.append((tuple(g), a, b, out))
+        return out
+
+    monkeypatch.setattr(sternseq.moddist, "_fixed_horner", spy)
+    total = 0
+    for d in range(2, 13):
+        q, _ = poly_divmod(mu[d], [-2, 1])
+        rest = q[next(k for k, c in enumerate(q) if c):]
+        for factor, _ in squarefree_factors(rest):
+            n = len(factor) - 1
+            parts = poly_gcd(factor, [-c if (n - k) % 2 else c
+                                      for k, c in enumerate(factor)])[:2]
+            for g in (part for part in parts if len(part) > 1):
+                calls.clear()
+                S, disks = sternseq.moddist._certified_roots(g, 40)
+                total += len(calls)
+                fp = tuple(poly_derivative(g))
+                for a, b, r in disks:
+                    at = [k for k, (h, x, y, _) in enumerate(calls)
+                          if h == tuple(g) and (x == a or a == 0 and
+                                                abs(x) <= r)
+                          and (y == b or b == 0 and abs(y) <= r)]
+                    assert at, (d, g)
+                    k = at[-1]
+                    _, x, y, (re, im, err) = calls[k]
+                    assert calls[k + 1][:3] == (fp, x, y), (d, g)
+                    dre, dim, derr = calls[k + 1][3]
+                    num = (len(g) - 1) * (
+                        math.isqrt(re * re + im * im) + 1 + err) << S
+                    den = math.isqrt(dre * dre + dim * dim) - derr
+                    assert r == -(-num // den) + 1, (d, g)
+    assert total <= 700, total
+
+
 @pytest.mark.parametrize("f,points,digits", [
     ([-2, 0, 1], (1.4142, -1.4142), 40),  # disjoint, radii near 1e-5
     ([10100, -201, 1], (100.2, 100.8), 0),  # radii 0.53 < 1, overlapping
 ])
 def test_root_certificate_rejects(f, points, digits, monkeypatch):
     """Disks wider than 10^-digits, or disks that are not apart at three
-    times their radii, fail the certificate."""
-    def place(f, z, S):
-        z[:] = [(math.floor(w * 2 ** S), 0) for w in points]
+    times their radii, fail the certificate: the float seeds are placed
+    at the points, and one sweep leaves them there or steps them away
+    from their radii."""
+    def place(f, z, u):
+        z[:] = [complex(w) for w in points]
 
-    monkeypatch.setattr(sternseq.moddist, "_polish", place)
+    monkeypatch.setattr(sternseq.moddist, "_aberth", place)
+    monkeypatch.setattr(sternseq.moddist, "_SWEEPS", 1)
     with pytest.raises(sternseq.NonConvergenceError, match="disjoint"):
         sternseq.moddist._certified_roots(f, digits)
 
@@ -895,15 +984,15 @@ def _run_optimized(src):
 
 
 def test_root_certificate_survives_optimize():
-    """Under python -O, polish sweeps that leave coincident points still
-    fail the disjointness test of the certificate with
-    NonConvergenceError, never a ZeroDivisionError or a report."""
+    """Under python -O, coincident float seeds, which the polish stops
+    where they meet, still fail the disjointness test of the certificate
+    with NonConvergenceError, never a ZeroDivisionError or a report."""
     assert _run_optimized(
         "import sys\n"
         "from sternseq import NonConvergenceError, moddist\n"
-        "def collapse(f, z, S):\n"
+        "def collapse(f, z, u):\n"
         "    z[:] = [z[0]] * len(z)\n"
-        "moddist._polish = collapse\n"
+        "moddist._aberth = collapse\n"
         "try:\n"
         "    moddist.spectral(7)\n"
         "except NonConvergenceError as exc:\n"
@@ -912,15 +1001,15 @@ def test_root_certificate_survives_optimize():
 
 
 def test_root_certificate_derivative_guard_survives_optimize():
-    """Under python -O, a point where f' may vanish (both points of
-    z^2 - 2 at 0) fails the certificate before its radius is divided
-    out, with NonConvergenceError."""
+    """Under python -O, a point where f' may vanish (both float seeds of
+    z^2 - 2 at 0, where the polish stops them) fails the certificate
+    before its radius is divided out, with NonConvergenceError."""
     assert _run_optimized(
         "import sys\n"
         "from sternseq import NonConvergenceError, moddist\n"
-        "def to_zero(f, z, S):\n"
-        "    z[:] = [(0, 0)] * len(z)\n"
-        "moddist._polish = to_zero\n"
+        "def to_zero(f, z, u):\n"
+        "    z[:] = [0j] * len(z)\n"
+        "moddist._aberth = to_zero\n"
         "try:\n"
         "    moddist._certified_roots([-2, 0, 1], 20)\n"
         "except NonConvergenceError as exc:\n"
